@@ -196,6 +196,45 @@ let traced_lams_session n_frames =
 
 let bench_lams_session_traced_fn () = traced_lams_session 500
 
+(* Steady-state recording: a warmed recorder takes a fixed cycle of
+   pre-built probe events (a transmission, its delivery, its release and
+   a checkpoint NAKing another seq) through the public [record] entry.
+   The times are boxed once here, as a probe emitter's are. Once the
+   ring has wrapped and the seq table has its working size this must not
+   allocate at all (gated by alloc-gate). *)
+let bench_recorder_record_fn =
+  let recorder = Trace.Recorder.create ~name:"bench" () in
+  let events =
+    Array.concat
+      (List.init 64 (fun k ->
+           let seq = 2 * k and payload = "payload" in
+           let t = float_of_int k *. 1e-4 in
+           let ev time kind = { Trace.Event.i = 0; time; kind } in
+           [|
+             ev t (Probe (Dlc.Probe.Tx { seq; payload; retx = false }));
+             ev (t +. 1e-5) (Probe (Dlc.Probe.Delivered { seq; payload }));
+             ev (t +. 2e-5)
+               (Probe
+                  (Dlc.Probe.Cp_emitted
+                     {
+                       cp_seq = k;
+                       next_expected = seq + 1;
+                       enforced = false;
+                       stop_go = false;
+                       naks = [ seq + 1 ];
+                     }));
+             ev (t +. 3e-5) (Probe (Dlc.Probe.Released { seq; payload }));
+           |]))
+  in
+  let run () =
+    for k = 0 to Array.length events - 1 do
+      let e = events.(k) in
+      Trace.Recorder.record recorder ~now:e.Trace.Event.time e.Trace.Event.kind
+    done
+  in
+  run ();
+  run
+
 (* The headline subject: a full LAMS-DLC transfer with the flight
    recorder attached — protocol machines, channel model, event engine
    and tracing all on the clock. ns_per_run / headline_frames is the
@@ -228,6 +267,7 @@ let micro_fns =
     ("protocol: LAMS-DLC 500-frame session", bench_lams_session_fn);
     ("protocol: SR-HDLC 500-frame session", bench_hdlc_session_fn);
     ("trace: LAMS-DLC 500-frame session, recorded", bench_lams_session_traced_fn);
+    ("trace: recorder record, steady state", bench_recorder_record_fn);
     (headline_name, bench_headline_fn);
   ]
 
@@ -240,6 +280,7 @@ let zero_alloc_subjects =
     "lams-dlc sim: steady-state engine schedule+run";
     "lams-dlc frame: scratch encode 1 kB I-frame";
     "lams-dlc channel: coded-path status, identity code, 1 kB";
+    "lams-dlc trace: recorder record, steady state";
   ]
 
 let zero_alloc_slack_words = 8.

@@ -38,7 +38,10 @@ let event_name = function
   | Recovery_started -> "recovery-started"
   | Recovery_completed -> "recovery-completed"
   | Failure_declared -> "failure-declared"
-  | Link_transition { state } -> "link-" ^ link_state_name state
+  | Link_transition { state = Link_up } -> "link-up"
+  | Link_transition { state = Link_retargeting } -> "link-retargeting"
+  | Link_transition { state = Link_down } -> "link-down"
+  | Link_transition { state = Link_failed } -> "link-failed"
   | Cp_emitted { naks = []; _ } -> "cp"
   | Cp_emitted _ -> "cp-nak"
   | State_corrupted _ -> "state-corrupted"
@@ -54,7 +57,13 @@ let subscribe t f = t.handlers <- t.handlers @ [ f ]
 
 let active t = t.handlers <> []
 
-let emit t ~now event =
-  match t.handlers with
+(* a named loop rather than [List.iter (fun f -> ...)]: no closure is
+   allocated per emitted event *)
+let rec emit_to handlers ~now event =
+  match handlers with
   | [] -> ()
-  | handlers -> List.iter (fun f -> f ~now event) handlers
+  | f :: rest ->
+      f ~now event;
+      emit_to rest ~now event
+
+let emit t ~now event = emit_to t.handlers ~now event

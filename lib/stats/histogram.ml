@@ -21,7 +21,7 @@ let create ~lo ~hi ~bins =
     total = 0;
   }
 
-let add t x =
+let[@inline] add t x =
   t.total <- t.total + 1;
   if x < t.lo then t.underflow <- t.underflow + 1
   else if x >= t.hi then t.overflow <- t.overflow + 1
@@ -30,6 +30,11 @@ let add t x =
     let i = Stdlib.min i (Array.length t.counts - 1) in
     t.counts.(i) <- t.counts.(i) + 1
   end
+
+let add_floats t xs n =
+  for i = 0 to n - 1 do
+    add t xs.(i)
+  done
 
 let count t = t.total
 

@@ -12,6 +12,11 @@ val create : lo:float -> hi:float -> bins:int -> t
 
 val add : t -> float -> unit
 
+val add_floats : t -> float array -> int -> unit
+(** [add_floats t xs n] adds [xs.(0)] .. [xs.(n-1)]. Unlike calling
+    {!add} per value, it boxes none of them: hot paths buffer samples in
+    an unboxed [float array] and hand them over in one call. *)
+
 val count : t -> int
 (** Total observations, including under/overflow. *)
 

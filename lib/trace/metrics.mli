@@ -13,7 +13,11 @@
       advertised the wire number — how long a NAK takes to turn into a
       retransmission decision;
     - {b checkpoint occupancy}: NAK count carried per emitted
-      checkpoint / status report / supervisory frame. *)
+      checkpoint / status report / supervisory frame.
+
+    Samples reach the histograms in batches; the accessors below and
+    {!to_fields} / {!to_json} hand out histograms that include every
+    sample observed so far. *)
 
 type t
 
@@ -21,11 +25,17 @@ val create : unit -> t
 
 val observe : t -> Event.t -> unit
 
+val observe_probe : t -> now:float -> Dlc.Probe.event -> unit
+(** [observe t {i; time = now; kind = Probe ev}] for any [i] (the index
+    plays no part in the metrics) without building the event: the
+    recorder's per-event path, which allocates nothing. *)
+
 val events : t -> int
 (** Total events observed. *)
 
 val count : t -> string -> int
-(** Occurrences of one event tag ({!Event.name}); 0 when absent. *)
+(** Occurrences of one event tag ({!Event.name}); 0 for a name that is
+    no tag. *)
 
 val holding : t -> Stats.Histogram.t
 

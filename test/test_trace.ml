@@ -298,6 +298,339 @@ let test_metrics_replay_matches_live () =
         Alcotest.failf "field %s: live %g, replayed %g" ka va vb)
     live_fields replay_fields
 
+(* --- differential: recorder and metrics vs the reference ---------------- *)
+
+module Ref = Trace_reference
+
+let lines events = List.map Trace.Event.to_line events
+
+let metrics_json m = Bench_report.Json.to_string ~indent:0 (Trace.Metrics.to_json m)
+
+let ref_metrics_json m =
+  Bench_report.Json.to_string ~indent:0 (Ref.Metrics.to_json m)
+
+(* Every tag name plus one that is none: [count] must agree on all. *)
+let count_names =
+  [
+    "no-such-tag"; "offered"; "tx"; "retx"; "released"; "requeued";
+    "delivered"; "recovery-started"; "recovery-completed"; "failure-declared";
+    "link-up"; "link-retargeting"; "link-down"; "link-failed"; "cp"; "cp-nak";
+    "state-corrupted"; "converged"; "cp-quarantined"; "resync-forced"; "fault";
+    "violation";
+  ]
+
+(* First observable difference between a recorder and the reference, if
+   any: ring lines, flight dump, metrics JSON, counters and totals. *)
+let recorder_mismatch r o =
+  let m = Trace.Recorder.metrics r and om = Ref.Recorder.metrics o in
+  let differs what a b = if a = b then None else Some what in
+  List.find_map Fun.id
+    [
+      differs "ring_events"
+        (lines (Trace.Recorder.ring_events r))
+        (lines (Ref.Recorder.ring_events o));
+      differs "flight_jsonl" (Trace.Recorder.flight_jsonl r)
+        (Ref.Recorder.flight_jsonl o);
+      differs "Metrics.to_json" (metrics_json m) (ref_metrics_json om);
+      differs "Metrics.count"
+        (List.map (Trace.Metrics.count m) count_names)
+        (List.map (Ref.Metrics.count om) count_names);
+      differs "events_recorded"
+        (Trace.Recorder.events_recorded r)
+        (Ref.Recorder.events_recorded o);
+      differs "violations" (Trace.Recorder.violations r)
+        (Ref.Recorder.violations o);
+    ]
+
+let line_sink set_sink recorder =
+  let acc = ref [] in
+  set_sink recorder (fun e -> acc := Trace.Event.to_line e :: !acc);
+  fun () -> List.rev !acc
+
+(* One random event stream into three recorders of the same capacity:
+   the new one through a probe (the allocation-free path, no sink), the
+   new one through [record] with a sink, and the reference with a sink.
+   [Metrics.observe] on the sink's events is checked too, and everything
+   is compared both at [mid] (histograms are read, then fed again) and
+   at the end. *)
+let stream_mismatch ~capacity ~mid events =
+  let probed = Trace.Recorder.create ~capacity ~name:"diff" () in
+  let probe = Dlc.Probe.create () in
+  Trace.Recorder.attach_probe probed probe;
+  let sinked = Trace.Recorder.create ~capacity ~name:"diff" () in
+  let sinked_lines = line_sink Trace.Recorder.set_sink sinked in
+  let replayed = Trace.Metrics.create () in
+  let o = Ref.Recorder.create ~capacity ~name:"diff" () in
+  let ref_lines = line_sink Ref.Recorder.set_sink o in
+  let check () =
+    List.find_map Fun.id
+      [
+        recorder_mismatch probed o;
+        recorder_mismatch sinked o;
+        (if sinked_lines () = ref_lines () then None else Some "sink lines");
+        (if metrics_json replayed = ref_metrics_json (Ref.Recorder.metrics o)
+         then None
+         else Some "Metrics.observe");
+      ]
+  in
+  let rec go k = function
+    | [] -> check ()
+    | (now, kind) :: rest -> (
+        (match kind with
+        | Trace.Event.Probe ev -> Dlc.Probe.emit probe ~now ev
+        | _ -> Trace.Recorder.record probed ~now kind);
+        Trace.Recorder.record sinked ~now kind;
+        Trace.Metrics.observe replayed { Trace.Event.i = k; time = now; kind };
+        Ref.Recorder.record o ~now kind;
+        match if k = mid then check () else None with
+        | Some _ as m -> m
+        | None -> go (k + 1) rest)
+  in
+  go 0 events
+
+let gen_stream =
+  let open QCheck2.Gen in
+  let* modulus = oneofl [ 8; 128; 1 lsl 20 ] in
+  (* HDLC-style numbering wraps at [modulus]; a small pool of raw
+     numbers makes transmissions, NAKs and requeues of one seq meet *)
+  let seq =
+    map2 (fun n hi -> (n + (1024 * hi)) mod modulus) (int_bound 40) (int_bound 3)
+  in
+  let payload = oneofl [ ""; "p"; "frame-000-xyz"; String.make 40 'x' ] in
+  let str = oneofl [ "a"; "b"; "released-undelivered" ] in
+  let cp naks =
+    map3
+      (fun cp_seq enforced stop_go ->
+        Dlc.Probe.Cp_emitted
+          { cp_seq; next_expected = cp_seq + 1; enforced; stop_go; naks })
+      (int_bound 50) bool bool
+  in
+  let probe_ev : Dlc.Probe.event t =
+    oneof
+      [
+        map (fun payload -> Dlc.Probe.Offered { payload }) payload;
+        map3 (fun seq payload retx -> Dlc.Probe.Tx { seq; payload; retx }) seq
+          payload bool;
+        map2 (fun seq payload -> Dlc.Probe.Released { seq; payload }) seq payload;
+        map2 (fun seq payload -> Dlc.Probe.Requeued { seq; payload }) seq payload;
+        map2 (fun seq payload -> Dlc.Probe.Delivered { seq; payload }) seq payload;
+        oneofl
+          Dlc.Probe.
+            [
+              Recovery_started;
+              Recovery_completed;
+              Failure_declared;
+              Link_transition { state = Link_up };
+              Link_transition { state = Link_retargeting };
+              Link_transition { state = Link_down };
+              Link_transition { state = Link_failed };
+            ];
+        cp [];
+        list_size (int_range 1 6) seq >>= cp;
+        map2
+          (fun klass detail -> Dlc.Probe.State_corrupted { klass; detail })
+          str str;
+        map2
+          (fun after anomalies -> Dlc.Probe.Converged { after; anomalies })
+          (float_bound_inclusive 1.) (int_bound 5);
+        map3
+          (fun cp_seq reason distrust ->
+            Dlc.Probe.Cp_quarantined { cp_seq; reason; distrust })
+          (int_bound 50) str (int_bound 5);
+        map (fun attempt -> Dlc.Probe.Resync_forced { attempt }) (int_bound 5);
+      ]
+  in
+  let kind =
+    frequency
+      [
+        (12, map (fun ev -> [ Trace.Event.Probe ev ]) probe_ev);
+        ( 1,
+          map3
+            (fun link action frame -> [ Trace.Event.Fault { link; action; frame } ])
+            (oneofl [ "forward"; "reverse" ]) str str );
+        ( 1,
+          map2
+            (fun invariant detail ->
+              [ Trace.Event.Violation { invariant; detail } ])
+            str str );
+        (* a NAK re-advertised after the requeue it caused *)
+        ( 2,
+          map2
+            (fun s payload ->
+              let p ev = Trace.Event.Probe ev in
+              let cp naks =
+                p
+                  (Dlc.Probe.Cp_emitted
+                     {
+                       cp_seq = 0;
+                       next_expected = s;
+                       enforced = false;
+                       stop_go = false;
+                       naks;
+                     })
+              in
+              [
+                p (Dlc.Probe.Tx { seq = s; payload; retx = false });
+                cp [ s ];
+                p (Dlc.Probe.Requeued { seq = s; payload });
+                cp [ s; s ];
+                p (Dlc.Probe.Tx { seq = s; payload; retx = true });
+                p (Dlc.Probe.Released { seq = s; payload });
+              ])
+            seq payload );
+      ]
+  in
+  (* equal instants, sub-ms steps and steps past the 0.5 s histogram
+     range; a violation found at finalize time is stamped -1, as
+     [Recorder.attach_oracle] stamps the oracle's nan instants *)
+  let dt = oneofl [ 0.; 1e-5; 3e-4; 2e-3; 0.6 ] in
+  let finalize = frequency [ (4, return false); (1, return true) ] in
+  let* steps = list_size (int_bound 400) (triple dt finalize kind) in
+  let* capacity = int_range 1 600 in
+  let+ mid = int_bound 400 in
+  let stamp t finalize = function
+    | Trace.Event.Violation _ as k when finalize -> (-1., k)
+    | k -> (t, k)
+  in
+  let _, events =
+    List.fold_left
+      (fun (t, acc) (dt, finalize, kinds) ->
+        let t = t +. dt in
+        (t, List.rev_append (List.map (stamp t finalize) kinds) acc))
+      (0., []) steps
+  in
+  (capacity, mid, List.rev events)
+
+let print_stream (capacity, mid, events) =
+  Printf.sprintf "capacity %d, mid %d\n%s" capacity mid
+    (String.concat "\n"
+       (List.mapi
+          (fun i (time, kind) -> Trace.Event.to_line { Trace.Event.i; time; kind })
+          events))
+
+let prop_recorder_matches_reference =
+  QCheck2.Test.make ~name:"recorder matches reference on random streams"
+    ~count:200 ~print:print_stream gen_stream (fun (capacity, mid, events) ->
+      match stream_mismatch ~capacity ~mid events with
+      | None -> true
+      | Some what -> QCheck2.Test.fail_reportf "differs: %s" what)
+
+(* The metrics' seq table with many live seqs at once (it grows, and
+   its probe runs get long enough to exercise deletion), each seq leaving by
+   release, by requeue after a NAK, or by release after a retransmission,
+   in a shuffled order. *)
+let prop_seq_table_matches_reference =
+  let open QCheck2.Gen in
+  let gen =
+    let* n = int_range 1 3000 in
+    let* stride = oneofl [ 1; 7; 1024; 4096 ] in
+    let* base = int_bound 5000 in
+    let* order = shuffle_l (List.init n Fun.id) in
+    let+ fates = list_repeat n (int_bound 2) in
+    (n, stride, base, List.combine order fates)
+  in
+  let print (n, stride, base, _) =
+    Printf.sprintf "n %d, stride %d, base %d" n stride base
+  in
+  QCheck2.Test.make ~name:"metrics seq table matches reference" ~count:30
+    ~print gen (fun (n, stride, base, exits) ->
+      let m = Trace.Metrics.create () and o = Ref.Metrics.create () in
+      let clock = ref 0. in
+      let emit ev =
+        clock := !clock +. 1e-5;
+        let e = { Trace.Event.i = 0; time = !clock; kind = Probe ev } in
+        Trace.Metrics.observe m e;
+        Ref.Metrics.observe o e
+      in
+      let seq i = base + (stride * i) and payload = "p" in
+      let nak seq =
+        emit
+          (Dlc.Probe.Cp_emitted
+             {
+               cp_seq = 0;
+               next_expected = 0;
+               enforced = false;
+               stop_go = false;
+               naks = [ seq ];
+             })
+      in
+      for i = 0 to n - 1 do
+        emit (Dlc.Probe.Tx { seq = seq i; payload; retx = false })
+      done;
+      List.iter
+        (fun (i, fate) ->
+          let seq = seq i in
+          match fate with
+          | 0 -> emit (Dlc.Probe.Released { seq; payload })
+          | 1 ->
+              nak seq;
+              emit (Dlc.Probe.Requeued { seq; payload })
+          | _ ->
+              nak seq;
+              emit (Dlc.Probe.Tx { seq; payload; retx = true });
+              emit (Dlc.Probe.Released { seq; payload }))
+        exits;
+      metrics_json m = ref_metrics_json o)
+
+(* Whole sessions: a recorder live on [Scenario.run], a second one with
+   a sink, and the reference fed the sink's stream. *)
+let test_sessions_match_reference () =
+  let small_burst =
+    {
+      Experiments.Scenario.default with
+      payload_bytes = 16;
+      burst =
+        Some
+          {
+            Experiments.Scenario.ber_good = 1e-7;
+            ber_bad = 5e-3;
+            mean_burst_bits = 2_000.;
+            mean_gap_bits = 200_000.;
+          };
+    }
+  in
+  let configs =
+    [
+      ("ber 1e-5", { Experiments.Scenario.default with ber = 1e-5 });
+      ("ber 1e-4", { Experiments.Scenario.default with ber = 1e-4 });
+      ("small-burst", small_burst);
+    ]
+  in
+  List.iter
+    (fun (label, cfg) ->
+      List.iter
+        (fun seed ->
+          let cfg = { cfg with Experiments.Scenario.seed } in
+          let proto =
+            Experiments.Scenario.Lams (Experiments.Scenario.default_lams_params cfg)
+          in
+          let run recorder =
+            ignore
+              (Experiments.Scenario.run ~recorder cfg proto
+                : Experiments.Scenario.result)
+          in
+          let live = Trace.Recorder.create ~name:"s" () in
+          run live;
+          let sinked = Trace.Recorder.create ~name:"s" () in
+          let stream = ref [] in
+          Trace.Recorder.set_sink sinked (fun e -> stream := e :: !stream);
+          run sinked;
+          let o = Ref.Recorder.create ~name:"s" () in
+          let ref_lines = line_sink Ref.Recorder.set_sink o in
+          List.iter
+            (fun (e : Trace.Event.t) -> Ref.Recorder.record o ~now:e.time e.kind)
+            (List.rev !stream);
+          let fail what = Alcotest.failf "%s seed %d: %s differs" label seed what in
+          Option.iter fail (recorder_mismatch live o);
+          Option.iter fail (recorder_mismatch sinked o);
+          if lines (List.rev !stream) <> ref_lines () then fail "sink lines";
+          Alcotest.(check bool)
+            (Printf.sprintf "%s seed %d: ring wrapped" label seed)
+            true
+            (Trace.Recorder.events_recorded live > Trace.Recorder.capacity live))
+        [ 1; 2; 3 ])
+    configs
+
 let suite =
   [
     Alcotest.test_case "event jsonl roundtrip" `Quick test_event_roundtrip;
@@ -316,4 +649,8 @@ let suite =
       test_jobs_byte_identical_traces;
     Alcotest.test_case "metrics replay matches live" `Quick
       test_metrics_replay_matches_live;
+    QCheck_alcotest.to_alcotest prop_recorder_matches_reference;
+    QCheck_alcotest.to_alcotest prop_seq_table_matches_reference;
+    Alcotest.test_case "sessions match reference recorder" `Quick
+      test_sessions_match_reference;
   ]
