@@ -235,6 +235,62 @@ let bench_recorder_record_fn =
   run ();
   run
 
+(* Steady-state send buffer: a warmed ring and its two queues take a
+   fixed cycle of the LAMS-DLC sender's buffer operations — offers into
+   the fresh queue, transmissions, NAK requeues (found by seq) and their
+   retransmissions, a duplicated entry, and coverage releases that empty
+   the ring again — with the times boxed once here. The float-returning
+   accessors ([offer_time], [holding_time]) box their result across the
+   module boundary and are left out. Once the columns have their working
+   size this must not allocate at all (gated by alloc-gate). *)
+let bench_send_ring_fn =
+  let module Ring = Dlc.Send_ring in
+  let module Fifo = Dlc.Send_ring.Fifo in
+  let ring = Ring.create () and fresh = Fifo.create () and retx = Fifo.create () in
+  let seq = ref 0 and payload = "payload" in
+  let t0 = 0. and t1 = 1e-3 and later = 1. and nan = Float.nan in
+  let transmit q ~now ~arrival =
+    Ring.transmit ring q ~seq:!seq ~now ~arrival;
+    incr seq
+  in
+  let release_covered ~horizon =
+    let s = ref (Ring.oldest_covered ring ~horizon) in
+    while !s >= 0 do
+      Ring.remove ring !s;
+      s := Ring.oldest_covered ring ~horizon
+    done
+  in
+  let run () =
+    let first = !seq in
+    for _ = 1 to 256 do
+      Fifo.push fresh ~payload ~offer:t0 ~first_tx:nan;
+      transmit fresh ~now:t0 ~arrival:t1
+    done;
+    for k = 0 to 63 do
+      Ring.requeue ring (Ring.find ring (first + (4 * k))) retx
+    done;
+    Ring.copy_to ring (Ring.oldest ring) retx;
+    while not (Fifo.is_empty retx) do
+      transmit retx ~now:t1 ~arrival:later
+    done;
+    release_covered ~horizon:t1;
+    release_covered ~horizon:later
+  in
+  run ();
+  run
+
+let bench_online_add_fn =
+  let o = Stats.Online.create () in
+  (* a list holds its floats boxed, so handing them to [add] boxes nothing *)
+  let xs = List.init 1024 (fun k -> float_of_int (k mod 97) *. 1e-3) in
+  let rec add_all = function
+    | [] -> ()
+    | x :: rest ->
+        Stats.Online.add o x;
+        add_all rest
+  in
+  fun () -> add_all xs
+
 (* The headline subject: a full LAMS-DLC transfer with the flight
    recorder attached — protocol machines, channel model, event engine
    and tracing all on the clock. ns_per_run / headline_frames is the
@@ -268,6 +324,8 @@ let micro_fns =
     ("protocol: SR-HDLC 500-frame session", bench_hdlc_session_fn);
     ("trace: LAMS-DLC 500-frame session, recorded", bench_lams_session_traced_fn);
     ("trace: recorder record, steady state", bench_recorder_record_fn);
+    ("dlc: send ring steady state", bench_send_ring_fn);
+    ("stats: online add", bench_online_add_fn);
     (headline_name, bench_headline_fn);
   ]
 
@@ -281,6 +339,8 @@ let zero_alloc_subjects =
     "lams-dlc frame: scratch encode 1 kB I-frame";
     "lams-dlc channel: coded-path status, identity code, 1 kB";
     "lams-dlc trace: recorder record, steady state";
+    "lams-dlc dlc: send ring steady state";
+    "lams-dlc stats: online add";
   ]
 
 let zero_alloc_slack_words = 8.

@@ -92,8 +92,7 @@ type mode =
 let log_capacity = 512
 
 (* Stale-replay memory: the last few control frames seen crossing this
-   link, newest first. Control frames are low-rate, so a short list is
-   both sufficient and cheap. *)
+   link. Control frames are low-rate, so a short ring is sufficient. *)
 let stale_ring_depth = 16
 
 type t = {
@@ -104,7 +103,7 @@ type t = {
   mutable hits : int;
   log_buf : (float * string) option array;  (* circular, capacity fixed *)
   mutable log_pos : int;  (* next write slot *)
-  mutable stale_ring : Frame.Wire.t list;  (* newest first *)
+  stale_ring : Frame.Wire.t Recent.t;
   mutable observers : (now:float -> action -> Frame.Wire.t -> unit) list;
       (* newest last; all invoked *)
 }
@@ -150,7 +149,7 @@ let compile spec =
     hits = 0;
     log_buf = Array.make log_capacity None;
     log_pos = 0;
-    stale_ring = [];
+    stale_ring = Recent.create stale_ring_depth;
     observers = [];
   }
 
@@ -228,11 +227,7 @@ let forge t action frame =
               ~naks:cp.Frame.Cframe.naks))
   | ( Inject_stale_cp { back },
       (Frame.Wire.Control _ | Frame.Wire.Hdlc_control _) ) -> (
-      match t.stale_ring with
-      | [] -> None
-      | ring ->
-          let n = List.length ring in
-          Some (List.nth ring (min (max back 0) (n - 1))))
+      Option.map snd (Recent.stale t.stale_ring ~back))
   | _ -> None
 
 (* Resolve an action against a concrete frame: [None] means the action
@@ -269,12 +264,7 @@ let record t ~now action frame =
 let note_frame t frame =
   match frame with
   | Frame.Wire.Control _ | Frame.Wire.Hdlc_control _ ->
-      let rec take n = function
-        | [] -> []
-        | _ when n = 0 -> []
-        | x :: rest -> x :: take (n - 1) rest
-      in
-      t.stale_ring <- take stale_ring_depth (frame :: t.stale_ring)
+      Recent.push t.stale_ring frame
   | Frame.Wire.Data _ -> ()
 
 let decision t ~now frame =

@@ -62,7 +62,10 @@ val force_resync : t -> unit
 val force_failure : t -> unit
 (** Declare link failure now — the terminal {!Dlc.Guard} escalation. *)
 
-val offer_time_of_seq : t -> int -> float option
+val offer_time_of_seq : t -> int -> float
+(** Original offer instant of the payload travelling under [seq], or
+    [nan] when [seq] is not in flight. Used by the session layer to
+    measure delivery delay. *)
 
 val stop : t -> unit
 

@@ -1,19 +1,13 @@
 type t = {
-  engine : Sim.Engine.t;
   sender : Sender.t;
   receiver : Receiver.t;
   metrics : Dlc.Metrics.t;
   probe : Dlc.Probe.t;
   name : string;
-  reverse : Channel.Link.t;
   guard : Dlc.Guard.t option;
-  mutable reverse_ring : Frame.Wire.t list;
-      (* recent reverse-link supervisory frames, newest first, for
-         stale-frame replay injection *)
+  replay : Dlc.Stale_replay.t;
   mutable user_deliver : (payload:string -> unit) option;
 }
-
-let reverse_ring_depth = 8
 
 let create ?probe engine ~params ~duplex =
   let params =
@@ -61,30 +55,22 @@ let create ?probe engine ~params ~duplex =
                }
              ~deliver:(fun rx -> Sender.on_rx sender rx))
   in
+  let replay =
+    Dlc.Stale_replay.attach engine ~reverse:duplex.Channel.Duplex.reverse
+      ~keep:(function Frame.Wire.Hdlc_control _ -> true | _ -> false)
+  in
   let t =
     {
-      engine;
       sender;
       receiver;
       metrics;
       probe;
       name;
-      reverse = duplex.Channel.Duplex.reverse;
       guard;
-      reverse_ring = [];
+      replay;
       user_deliver = None;
     }
   in
-  Channel.Link.add_tap duplex.Channel.Duplex.reverse (fun ev ->
-      match ev with
-      | Channel.Link.Tap_tx (Frame.Wire.Hdlc_control _ as frame) ->
-          let rec take n = function
-            | [] -> []
-            | _ when n = 0 -> []
-            | x :: rest -> x :: take (n - 1) rest
-          in
-          t.reverse_ring <- take reverse_ring_depth (frame :: t.reverse_ring)
-      | _ -> ());
   Channel.Link.set_receiver duplex.Channel.Duplex.forward (fun rx ->
       Receiver.on_rx receiver rx);
   Channel.Link.set_receiver duplex.Channel.Duplex.reverse (fun rx ->
@@ -92,11 +78,10 @@ let create ?probe engine ~params ~duplex =
       | Some g -> Dlc.Guard.on_rx g rx
       | None -> Sender.on_rx sender rx);
   Receiver.set_on_deliver receiver (fun ~payload ~seq ->
-      (match Sender.offer_time_of_seq sender seq with
-      | Some t0 ->
-          Stats.Online.add metrics.Dlc.Metrics.delivery_delay
-            (Sim.Engine.now engine -. t0)
-      | None -> ());
+      let t0 = Sender.offer_time_of_seq sender seq in
+      if not (Float.is_nan t0) then
+        Stats.Online.add metrics.Dlc.Metrics.delivery_delay
+          (Sim.Engine.now engine -. t0);
       match t.user_deliver with None -> () | Some f -> f ~payload);
   t
 
@@ -110,28 +95,6 @@ let probe t = t.probe
 
 let guard t = t.guard
 
-let replay_reverse t ~copies ~back =
-  if copies < 1 then None
-  else
-    match t.reverse_ring with
-    | [] -> None
-    | ring ->
-        let n = List.length ring in
-        let frame = List.nth ring (min (max back 0) (n - 1)) in
-        (* defer the sends one zero-delay event: the injector publishes
-           State_corrupted only after this mutator returns, and the
-           suspect window must be open before the stale frames hit the
-           reverse-link taps *)
-        ignore
-          (Sim.Engine.schedule t.engine ~delay:0. (fun () ->
-               for _ = 1 to copies do
-                 Channel.Link.send t.reverse frame
-               done)
-            : Sim.Engine.event_id);
-        Some
-          (Format.asprintf "replayed stale %a x%d (age %d)" Frame.Wire.pp
-             frame copies (min (max back 0) (n - 1)))
-
 let corrupt_surface t =
   {
     Dlc.Corrupt.scramble_send_seq =
@@ -142,7 +105,7 @@ let corrupt_surface t =
       (fun ~seqs -> Receiver.poison_nak_ledger t.receiver ~seqs);
     truncate_nak_ledger = (fun () -> Receiver.truncate_nak_ledger t.receiver);
     duplicate_buffer_entry = (fun () -> Sender.duplicate_buffer_entry t.sender);
-    replay_reverse = (fun ~copies ~back -> replay_reverse t ~copies ~back);
+    replay_reverse = Dlc.Stale_replay.inject t.replay;
   }
 
 let as_dlc t =

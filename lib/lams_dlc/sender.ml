@@ -2,16 +2,8 @@ let src = Logs.Src.create "lams_dlc.sender" ~doc:"LAMS-DLC sender"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type pending = {
-  payload : string;
-  offer_time : float;
-  mutable first_tx_time : float;  (* nan until first transmitted *)
-}
-
-type outstanding_entry = {
-  pend : pending;
-  arrival_estimate : float;  (* predicted arrival at the receiver *)
-}
+module Ring = Dlc.Send_ring
+module Fifo = Dlc.Send_ring.Fifo
 
 type t = {
   engine : Sim.Engine.t;
@@ -20,12 +12,12 @@ type t = {
   metrics : Dlc.Metrics.t;
   probe : Dlc.Probe.t;
   mutable next_seq : int;
-  outstanding : (int, outstanding_entry) Hashtbl.t;
-  coverage : int Queue.t;  (* outstanding seqs in transmission order *)
-  fresh : pending Queue.t;  (* never-transmitted payloads *)
-  retx : pending Queue.t;  (* awaiting retransmission *)
+  outstanding : Ring.t;  (* in transmission order *)
+  fresh : Fifo.t;  (* never-transmitted payloads *)
+  retx : Fifo.t;  (* awaiting retransmission *)
   mutable rate_factor : float;
-  mutable next_allowed_tx : float;
+  next_allowed_tx : float array;
+      (* one element: a mutable float field would box on every write *)
   mutable wakeup_scheduled : bool;
   mutable halted : bool;
   mutable failed : bool;
@@ -42,9 +34,9 @@ type t = {
 }
 
 let backlog t =
-  Queue.length t.fresh + Queue.length t.retx + Hashtbl.length t.outstanding
+  Fifo.length t.fresh + Fifo.length t.retx + Ring.length t.outstanding
 
-let outstanding t = Hashtbl.length t.outstanding
+let outstanding t = Ring.length t.outstanding
 
 let outstanding_span_peak t = t.span_peak
 
@@ -57,9 +49,8 @@ let failed t = t.failed
 let set_on_failure t f = t.on_failure <- Some f
 
 let offer_time_of_seq t seq =
-  match Hashtbl.find_opt t.outstanding seq with
-  | Some e -> Some e.pend.offer_time
-  | None -> None
+  let s = Ring.find t.outstanding seq in
+  if s < 0 then nan else Ring.offer_time t.outstanding s
 
 let sample_buffer t = Dlc.Metrics.sample_send_buffer t.metrics (backlog t)
 
@@ -70,79 +61,60 @@ let emit t ev = Dlc.Probe.emit t.probe ~now:(Sim.Engine.now t.engine) ev
 let probe_on t = Dlc.Probe.active t.probe
 
 (* Track the numbering span actually in use: oldest live outstanding seq
-   (front of the coverage queue, skipping resolved ones) to next_seq-1. *)
+   to next_seq-1. *)
 let update_span t =
-  let rec front () =
-    match Queue.peek_opt t.coverage with
-    | Some s when not (Hashtbl.mem t.outstanding s) ->
-        ignore (Queue.pop t.coverage : int);
-        front ()
-    | other -> other
-  in
-  match front () with
-  | None -> ()
-  | Some oldest ->
-      let span = t.next_seq - oldest in
-      if span > t.span_peak then t.span_peak <- span
+  let oldest = Ring.oldest t.outstanding in
+  if oldest >= 0 then begin
+    let span = t.next_seq - Ring.seq t.outstanding oldest in
+    if span > t.span_peak then t.span_peak <- span
+  end
 
 (* --- transmission ------------------------------------------------------- *)
 
 let rec maybe_send t =
   if (not t.failed) && not t.stopped then begin
-    let next_pending =
-      (* retransmissions first; new frames only when not halted *)
-      if not (Queue.is_empty t.retx) then Some t.retx
-      else if (not t.halted) && not (Queue.is_empty t.fresh) then Some t.fresh
-      else None
-    in
-    match next_pending with
-    | None -> ()
-    | Some queue ->
-        if Channel.Link.busy t.forward then ()
-          (* the link's on_idle callback re-enters maybe_send *)
-        else begin
-          let now = Sim.Engine.now t.engine in
-          if now < t.next_allowed_tx then schedule_wakeup t
-          else begin
-            let is_retx = queue == t.retx in
-            let pend = Queue.pop queue in
-            transmit t pend ~is_retx
-          end
-        end
+    (* retransmissions first; new frames only when not halted *)
+    let is_retx = not (Fifo.is_empty t.retx) in
+    if is_retx || ((not t.halted) && not (Fifo.is_empty t.fresh)) then
+      if Channel.Link.busy t.forward then ()
+        (* the link's on_idle callback re-enters maybe_send *)
+      else begin
+        let now = Sim.Engine.now t.engine in
+        if now < t.next_allowed_tx.(0) then schedule_wakeup t
+        else transmit t (if is_retx then t.retx else t.fresh) ~now ~is_retx
+      end
   end
 
 and schedule_wakeup t =
   if not t.wakeup_scheduled then begin
     t.wakeup_scheduled <- true;
-    let delay = t.next_allowed_tx -. Sim.Engine.now t.engine in
+    let delay = t.next_allowed_tx.(0) -. Sim.Engine.now t.engine in
     ignore (Sim.Engine.schedule t.engine ~delay t.wakeup_fn : Sim.Engine.event_id)
   end
 
-and transmit t pend ~is_retx =
+and transmit t queue ~now ~is_retx =
   let seq = t.next_seq in
   t.next_seq <- t.next_seq + 1;
-  let iframe = Frame.Iframe.create ~seq ~payload:pend.payload in
+  let payload = Fifo.front_payload queue in
+  let iframe = Frame.Iframe.create ~seq ~payload in
   let wire = Frame.Wire.Data iframe in
-  let now = Sim.Engine.now t.engine in
   let tx = Channel.Link.tx_time t.forward wire in
   let departure = now +. tx in
-  let arrival_estimate =
+  let arrival =
     departure +. Channel.Link.propagation_delay t.forward ~at:departure
   in
-  if Float.is_nan pend.first_tx_time then pend.first_tx_time <- now;
-  Hashtbl.replace t.outstanding seq { pend; arrival_estimate };
-  Queue.add seq t.coverage;
+  Ring.transmit t.outstanding queue ~seq ~now ~arrival;
   update_span t;
   if is_retx then
     t.metrics.Dlc.Metrics.retransmissions <-
       t.metrics.Dlc.Metrics.retransmissions + 1
   else t.metrics.Dlc.Metrics.iframes_sent <- t.metrics.Dlc.Metrics.iframes_sent + 1;
   if probe_on t then
-    emit t (Dlc.Probe.Tx { seq; payload = pend.payload; retx = is_retx });
+    emit t (Dlc.Probe.Tx { seq; payload; retx = is_retx });
   Channel.Link.send t.forward wire;
   (* Stop-Go pacing: at full rate the next frame may follow back-to-back;
      a reduced rate factor stretches the inter-frame spacing. *)
-  t.next_allowed_tx <- now +. (tx /. t.rate_factor);
+  t.next_allowed_tx.(0) <- now +. (tx /. t.rate_factor);
   (* the checkpoint timer must run from the first transmission so a link
      that never produces a single checkpoint is also detected *)
   start_cp_timer_if_needed t;
@@ -242,19 +214,31 @@ and start_cp_timer_if_needed t =
 
 (* --- checkpoint processing ---------------------------------------------- *)
 
-let release t seq entry =
-  Hashtbl.remove t.outstanding seq;
+(* The payload is read only for an observed probe, and the event is
+   emitted once the slot has left the buffer. *)
+let release t s ~seq ~now =
+  let held = Ring.holding_time t.outstanding s ~now in
+  let observed = probe_on t in
+  let payload = if observed then Ring.payload t.outstanding s else "" in
+  Ring.remove t.outstanding s;
   t.metrics.Dlc.Metrics.released <- t.metrics.Dlc.Metrics.released + 1;
-  if probe_on t then
-    emit t (Dlc.Probe.Released { seq; payload = entry.pend.payload });
-  Stats.Online.add t.metrics.Dlc.Metrics.holding_time
-    (Sim.Engine.now t.engine -. entry.pend.first_tx_time)
+  if observed then emit t (Dlc.Probe.Released { seq; payload });
+  Stats.Online.add t.metrics.Dlc.Metrics.holding_time held
 
-let queue_retransmission t seq entry =
-  Hashtbl.remove t.outstanding seq;
-  if probe_on t then
-    emit t (Dlc.Probe.Requeued { seq; payload = entry.pend.payload });
-  Queue.add entry.pend t.retx
+let queue_retransmission t s ~seq =
+  let observed = probe_on t in
+  let payload = if observed then Ring.payload t.outstanding s else "" in
+  Ring.requeue t.outstanding s t.retx;
+  if observed then emit t (Dlc.Probe.Requeued { seq; payload })
+
+(* NAKed frames: retransmit on first notification only; a NAK whose seq
+   is no longer outstanding has already been handled (§3.2). *)
+let rec requeue_naked t = function
+  | [] -> ()
+  | seq :: rest ->
+      let s = Ring.find t.outstanding seq in
+      if s >= 0 then queue_retransmission t s ~seq;
+      requeue_naked t rest
 
 let apply_stop_go t ~stop =
   if stop then
@@ -316,14 +300,8 @@ let on_checkpoint t (cp : Frame.Cframe.checkpoint) =
     | Some timer -> Sim.Timer.stop timer
     | None -> ()
   end;
-  (* 2. NAKed frames: retransmit on first notification only; a NAK whose
-     seq is no longer outstanding has already been handled (§3.2). *)
-  List.iter
-    (fun seq ->
-      match Hashtbl.find_opt t.outstanding seq with
-      | Some entry -> queue_retransmission t seq entry
-      | None -> ())
-    cp.Frame.Cframe.naks;
+  (* 2. NAKed frames. *)
+  requeue_naked t cp.Frame.Cframe.naks;
   (* 3. Coverage: frames that must have reached the receiver before this
      checkpoint was issued are resolved by it — released when the
      receiver's next_expected moved past them, retransmitted when the
@@ -333,27 +311,20 @@ let on_checkpoint t (cp : Frame.Cframe.checkpoint) =
   let changed = ref (cp.Frame.Cframe.naks <> []) in
   if not t.halted then begin
     let horizon =
-      cp.Frame.Cframe.issue_time -. t.params.Params.t_proc
-      -. t.params.Params.coverage_margin
+      (* boxed once here rather than at every call in the loop *)
+      Sys.opaque_identity
+        (cp.Frame.Cframe.issue_time -. t.params.Params.t_proc
+        -. t.params.Params.coverage_margin)
     in
-    let rec scan () =
-      match Queue.peek_opt t.coverage with
-      | None -> ()
-      | Some seq -> (
-          match Hashtbl.find_opt t.outstanding seq with
-          | None ->
-              ignore (Queue.pop t.coverage : int);
-              scan ()
-          | Some entry ->
-              if entry.arrival_estimate <= horizon then begin
-                ignore (Queue.pop t.coverage : int);
-                changed := true;
-                if seq < cp.Frame.Cframe.next_expected then release t seq entry
-                else queue_retransmission t seq entry;
-                scan ()
-              end)
-    in
-    scan ()
+    let now = Sim.Engine.now t.engine in
+    let s = ref (Ring.oldest_covered t.outstanding ~horizon) in
+    while !s >= 0 do
+      changed := true;
+      let seq = Ring.seq t.outstanding !s in
+      if seq < cp.Frame.Cframe.next_expected then release t !s ~seq ~now
+      else queue_retransmission t !s ~seq;
+      s := Ring.oldest_covered t.outstanding ~horizon
+    done
   end;
   if !changed then sample_buffer t;
   (* 4. Flow control. *)
@@ -362,7 +333,7 @@ let on_checkpoint t (cp : Frame.Cframe.checkpoint) =
 
 let next_seq t = t.next_seq
 
-let is_outstanding t seq = Hashtbl.mem t.outstanding seq
+let is_outstanding t seq = Ring.find t.outstanding seq >= 0
 
 (* Guard escalation hooks: a forced resync is exactly the enforced
    recovery the checkpoint timer would start, and the guard's failure
@@ -398,7 +369,7 @@ let offer t payload =
     if Float.is_nan t.metrics.Dlc.Metrics.first_offer_time then
       t.metrics.Dlc.Metrics.first_offer_time <- now;
     if probe_on t then emit t (Dlc.Probe.Offered { payload });
-    Queue.add { payload; offer_time = now; first_tx_time = nan } t.fresh;
+    Fifo.push t.fresh ~payload ~offer:now ~first_tx:nan;
     sample_buffer t;
     maybe_send t;
     true
@@ -416,42 +387,40 @@ type unresolved = {
 }
 
 let drain_unresolved t =
-  (* oldest first: outstanding frames in transmission order (the coverage
-     queue), then queued retransmissions (all certainly undelivered),
-     then never-transmitted frames *)
+  (* oldest first: outstanding frames in transmission order, then queued
+     retransmissions (all certainly undelivered), then never-transmitted
+     frames *)
   let out = ref [] in
-  let rec drain_coverage () =
-    match Queue.take_opt t.coverage with
-    | None -> ()
-    | Some seq ->
-        (match Hashtbl.find_opt t.outstanding seq with
-        | Some entry ->
-            Hashtbl.remove t.outstanding seq;
-            out :=
-              {
-                payload = entry.pend.payload;
-                offer_time = entry.pend.offer_time;
-                verdict = `Suspicious;
-              }
-              :: !out
-        | None -> ());
-        drain_coverage ()
+  let rec drain_ring () =
+    let s = Ring.oldest t.outstanding in
+    if s >= 0 then begin
+      out :=
+        {
+          payload = Ring.payload t.outstanding s;
+          offer_time = Ring.offer_time t.outstanding s;
+          verdict = `Suspicious;
+        }
+        :: !out;
+      Ring.remove t.outstanding s;
+      drain_ring ()
+    end
   in
-  drain_coverage ();
-  Queue.iter
-    (fun (pend : pending) ->
+  let rec drain_fifo q =
+    if not (Fifo.is_empty q) then begin
       out :=
-        { payload = pend.payload; offer_time = pend.offer_time; verdict = `Not_delivered }
-        :: !out)
-    t.retx;
-  Queue.clear t.retx;
-  Queue.iter
-    (fun (pend : pending) ->
-      out :=
-        { payload = pend.payload; offer_time = pend.offer_time; verdict = `Not_delivered }
-        :: !out)
-    t.fresh;
-  Queue.clear t.fresh;
+        {
+          payload = Fifo.front_payload q;
+          offer_time = Fifo.front_offer q;
+          verdict = `Not_delivered;
+        }
+        :: !out;
+      Fifo.drop q;
+      drain_fifo q
+    end
+  in
+  drain_ring ();
+  drain_fifo t.retx;
+  drain_fifo t.fresh;
   sample_buffer t;
   List.rev !out
 
@@ -464,12 +433,11 @@ let create engine ~params ~forward ~metrics ~probe =
       metrics;
       probe;
       next_seq = 0;
-      outstanding = Hashtbl.create 1024;
-      coverage = Queue.create ();
-      fresh = Queue.create ();
-      retx = Queue.create ();
+      outstanding = Ring.create ();
+      fresh = Fifo.create ();
+      retx = Fifo.create ();
       rate_factor = 1.;
-      next_allowed_tx = 0.;
+      next_allowed_tx = [| 0. |];
       wakeup_scheduled = false;
       halted = false;
       failed = false;
@@ -505,21 +473,14 @@ let scramble_next_seq t ~delta =
 let duplicate_buffer_entry t =
   if t.failed || t.stopped then None
   else begin
-    (* oldest live outstanding entry, per the coverage queue *)
-    let rec front () =
-      match Queue.peek_opt t.coverage with
-      | Some s when not (Hashtbl.mem t.outstanding s) ->
-          ignore (Queue.pop t.coverage : int);
-          front ()
-      | other -> other
-    in
-    match front () with
-    | None -> None
-    | Some seq ->
-        let entry = Hashtbl.find t.outstanding seq in
-        Queue.add entry.pend t.retx;
-        maybe_send t;
-        Some
-          (Printf.sprintf "duplicated unreleased seq %d into the retx queue"
-             seq)
+    (* oldest live outstanding entry *)
+    let s = Ring.oldest t.outstanding in
+    if s < 0 then None
+    else begin
+      let seq = Ring.seq t.outstanding s in
+      Ring.copy_to t.outstanding s t.retx;
+      maybe_send t;
+      Some
+        (Printf.sprintf "duplicated unreleased seq %d into the retx queue" seq)
+    end
   end

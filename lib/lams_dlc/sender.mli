@@ -81,10 +81,11 @@ val force_resync : t -> unit
 val force_failure : t -> unit
 (** Declare link failure now — the terminal {!Dlc.Guard} escalation. *)
 
-val offer_time_of_seq : t -> int -> float option
-(** Original offer instant of the payload travelling under [seq];
-    retransmissions inherit the original time. Used by the session layer
-    to measure delivery delay. *)
+val offer_time_of_seq : t -> int -> float
+(** Original offer instant of the payload travelling under [seq], or
+    [nan] when [seq] is not outstanding; retransmissions inherit the
+    original time. Used by the session layer to measure delivery delay
+    without allocating an option per delivery. *)
 
 val stop : t -> unit
 (** Stop timers and refuse further work (end of link lifetime). *)

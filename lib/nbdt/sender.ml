@@ -54,8 +54,8 @@ let set_on_failure t f = t.on_failure <- Some f
 
 let offer_time_of_seq t seq =
   match Hashtbl.find_opt t.inflight seq with
-  | Some fl -> Some fl.offer_time
-  | None -> None
+  | Some fl -> fl.offer_time
+  | None -> nan
 
 let sample_buffer t = Dlc.Metrics.sample_send_buffer t.metrics (backlog t)
 

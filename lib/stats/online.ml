@@ -1,57 +1,65 @@
-type t = {
-  mutable n : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable min : float;
-  mutable max : float;
-  mutable sum : float;
-}
+(* The five running floats live in one flat [float array] so [add]
+   updates them in place: as mutable fields of a record that also holds
+   the int count they would each be boxed on every write. *)
+type t = { mutable n : int; f : float array }
 
-let create () =
-  { n = 0; mean = 0.; m2 = 0.; min = infinity; max = neg_infinity; sum = 0. }
+let mean_ = 0
+and m2_ = 1
+and min_ = 2
+and max_ = 3
+and sum_ = 4
 
-let add t x =
-  t.n <- t.n + 1;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if x < t.min then t.min <- x;
-  if x > t.max then t.max <- x;
-  t.sum <- t.sum +. x
+let create () = { n = 0; f = [| 0.; 0.; infinity; neg_infinity; 0. |] }
+
+let[@inline] add t x =
+  let f = t.f in
+  let n = t.n + 1 in
+  t.n <- n;
+  let mean = Array.unsafe_get f mean_ in
+  let delta = x -. mean in
+  let mean = mean +. (delta /. float_of_int n) in
+  Array.unsafe_set f mean_ mean;
+  Array.unsafe_set f m2_ (Array.unsafe_get f m2_ +. (delta *. (x -. mean)));
+  if x < Array.unsafe_get f min_ then Array.unsafe_set f min_ x;
+  if x > Array.unsafe_get f max_ then Array.unsafe_set f max_ x;
+  Array.unsafe_set f sum_ (Array.unsafe_get f sum_ +. x)
 
 let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
+  if a.n = 0 then { n = b.n; f = Array.copy b.f }
+  else if b.n = 0 then { n = a.n; f = Array.copy a.f }
   else begin
     let n = a.n + b.n in
     let fa = float_of_int a.n and fb = float_of_int b.n in
     let fn = float_of_int n in
-    let delta = b.mean -. a.mean in
-    let mean = a.mean +. (delta *. fb /. fn) in
-    let m2 = a.m2 +. b.m2 +. (delta *. delta *. fa *. fb /. fn) in
+    let delta = b.f.(mean_) -. a.f.(mean_) in
+    let mean = a.f.(mean_) +. (delta *. fb /. fn) in
+    let m2 = a.f.(m2_) +. b.f.(m2_) +. (delta *. delta *. fa *. fb /. fn) in
     {
       n;
-      mean;
-      m2;
-      min = Float.min a.min b.min;
-      max = Float.max a.max b.max;
-      sum = a.sum +. b.sum;
+      f =
+        [|
+          mean;
+          m2;
+          Float.min a.f.(min_) b.f.(min_);
+          Float.max a.f.(max_) b.f.(max_);
+          a.f.(sum_) +. b.f.(sum_);
+        |];
     }
   end
 
 let count t = t.n
 
-let mean t = if t.n = 0 then nan else t.mean
+let mean t = if t.n = 0 then nan else t.f.(mean_)
 
-let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
+let variance t = if t.n < 2 then 0. else t.f.(m2_) /. float_of_int (t.n - 1)
 
 let stddev t = sqrt (variance t)
 
-let min t = t.min
+let min t = t.f.(min_)
 
-let max t = t.max
+let max t = t.f.(max_)
 
-let sum t = t.sum
+let sum t = t.f.(sum_)
 
 (* Two-sided 97.5% Student-t quantiles by degrees of freedom. With the
    handful of replicates a matrix run typically has (3-10), the normal
@@ -80,8 +88,8 @@ let ci95_halfwidth t =
 let pp ppf t =
   if t.n = 0 then Format.fprintf ppf "n=0"
   else
-    Format.fprintf ppf "n=%d mean=%.6g±%.2g min=%.6g max=%.6g" t.n t.mean
-      (ci95_halfwidth t) t.min t.max
+    Format.fprintf ppf "n=%d mean=%.6g±%.2g min=%.6g max=%.6g" t.n (mean t)
+      (ci95_halfwidth t) (min t) (max t)
 
 let to_json_string t =
   Printf.sprintf
@@ -89,6 +97,6 @@ let to_json_string t =
     t.n
     (Jsonstr.float_repr (mean t))
     (Jsonstr.float_repr (stddev t))
-    (Jsonstr.float_repr t.min)
-    (Jsonstr.float_repr t.max)
-    (Jsonstr.float_repr t.sum)
+    (Jsonstr.float_repr (min t))
+    (Jsonstr.float_repr (max t))
+    (Jsonstr.float_repr (sum t))

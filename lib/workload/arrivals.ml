@@ -4,10 +4,29 @@ let count_offered t = t.offered
 
 let finished t = t.offered >= t.total
 
+(* The first [size] bytes of [Printf.sprintf "%010d|" i] followed by
+   'x' padding, written straight into one buffer: the Printf form built
+   three strings per frame. Negative [i] (a sign in the header) keeps
+   the Printf form. *)
+let rec decimal_digits n = if n < 10 then 1 else 1 + decimal_digits (n / 10)
+
 let default_payload ~size i =
-  let header = Printf.sprintf "%010d|" i in
-  if size <= String.length header then String.sub header 0 size
-  else header ^ String.make (size - String.length header) 'x'
+  if i < 0 then begin
+    let header = Printf.sprintf "%010d|" i in
+    if size <= String.length header then String.sub header 0 size
+    else header ^ String.make (size - String.length header) 'x'
+  end
+  else begin
+    let width = max 10 (decimal_digits i) in
+    let b = Bytes.make size 'x' in
+    let n = ref i in
+    for k = width - 1 downto 0 do
+      if k < size then Bytes.unsafe_set b k (Char.unsafe_chr (48 + (!n mod 10)));
+      n := !n / 10
+    done;
+    if width < size then Bytes.unsafe_set b width '|';
+    Bytes.unsafe_to_string b
+  end
 
 let deterministic engine ~session ~rate ~count ~payload =
   if rate <= 0. then invalid_arg "Arrivals.deterministic: rate must be > 0";

@@ -37,4 +37,5 @@ let () =
       ("corrupt", Test_corrupt.suite);
       ("corrupt-soak", Test_corrupt_soak.suite);
       ("feedback", Test_feedback.suite);
+      ("data-path", Test_data_path.suite);
     ]
