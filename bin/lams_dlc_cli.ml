@@ -18,6 +18,14 @@ let trace_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"DIR" ~doc)
 
+(* Shared --trace FILE flag of the single-run commands (`sim`, `corrupt
+   run`, `feedback run`). *)
+let trace_file_arg =
+  Arg.(value & opt (some string) None
+       & info [ "trace" ] ~docv:"FILE"
+           ~doc:"Write the run's JSONL event trace to $(docv) (plus \
+                 $(docv).metrics.json).")
+
 let set_trace_config dir =
   Trace.Config.set
     (Option.map
@@ -91,10 +99,22 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
+let select_experiments ~list_cmd ids all =
+  if all || ids = [] then Experiments.All.all
+  else
+    List.map
+      (fun id ->
+        match Experiments.All.find id with
+        | Some e -> e
+        | None ->
+            Format.eprintf "unknown experiment %S (try '%s')@." id list_cmd;
+            exit 2)
+      ids
+
 let run_cmd =
   let doc = "Run experiments and print their paper-vs-simulation tables." in
   let ids =
-    let doc = "Experiment ids (e1 .. e12). Default: all." in
+    let doc = "Experiment ids (see $(b,list)). Default: all." in
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
   let quick =
@@ -127,18 +147,7 @@ let run_cmd =
               exit 2)
     in
     let corrupt = Option.map load_corrupt_script corrupt_file in
-    let selected =
-      if all || ids = [] then Experiments.All.all
-      else
-        List.map
-          (fun id ->
-            match Experiments.All.find id with
-            | Some e -> e
-            | None ->
-                Format.eprintf "unknown experiment %S (try 'list')@." id;
-                exit 2)
-          ids
-    in
+    let selected = select_experiments ~list_cmd:"list" ids all in
     match (plan, corrupt) with
     | None, None ->
         if all || ids = [] then
@@ -170,18 +179,6 @@ let run_cmd =
 
 (* --- experiments: the replicated matrix runner ------------------------- *)
 
-let select_experiments ids all =
-  if all || ids = [] then Experiments.All.all
-  else
-    List.map
-      (fun id ->
-        match Experiments.All.find id with
-        | Some e -> e
-        | None ->
-            Format.eprintf "unknown experiment %S (try 'experiments list')@." id;
-            exit 2)
-      ids
-
 let experiments_list_cmd =
   let doc = "List experiments with their matrix point counts." in
   let quick =
@@ -198,36 +195,24 @@ let experiments_list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ quick)
 
-let experiments_run_cmd =
-  let doc =
-    "Run the replicated experiment matrix: every parameter point of the \
-     selected experiments, $(b,--replicates) times each with an \
-     independent derived seed, in parallel across $(b,--jobs) workers. \
-     Results (mean / stddev / 95% CI per metric) are identical for any \
-     job count."
-  in
-  let ids =
-    Arg.(value & pos_all string []
-         & info [] ~docv:"ID" ~doc:"Experiment ids (e1 .. e20). Default: all.")
-  in
-  let all =
-    Arg.(value & flag
-         & info [ "all" ] ~doc:"Run every experiment (same as passing no ids).")
-  in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sweeps for a smoke run.")
-  in
+(* Shared matrix-report flags and emission (`experiments run` and the
+   three `soak` commands). *)
+type matrix_opts = {
+  jobs : int;
+  root_seed : int;
+  json : bool;
+  out : string option;
+  no_meta : bool;
+}
+
+let matrix_opts =
   let jobs =
     let doc =
-      "Worker count. Needs OCaml >= 5 to parallelise; on 4.14 the matrix \
-       runs sequentially whatever the value. Default: one per core."
+      "Worker count; results are identical for any value. Needs OCaml >= 5 \
+       to parallelise; on 4.14 the matrix runs sequentially whatever the \
+       value. Default: one per core."
     in
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-  in
-  let replicates =
-    Arg.(value & opt int 1
-         & info [ "r"; "replicates" ] ~docv:"R"
-             ~doc:"Independent replicates per parameter point.")
   in
   let root_seed =
     Arg.(value & opt int 1
@@ -248,48 +233,104 @@ let experiments_run_cmd =
              ~doc:"Omit run metadata (host, timestamp, jobs) from the JSON so \
                    two runs diff byte-for-byte.")
   in
-  let run ids all quick jobs replicates root_seed json out no_meta trace_dir
-      channel_trace =
+  let make jobs root_seed json out no_meta =
+    let jobs =
+      max 1 (match jobs with Some j -> j | None -> Runner.Pool.default_jobs ())
+    in
+    { jobs; root_seed; json; out; no_meta }
+  in
+  Term.(const make $ jobs $ root_seed $ json $ out $ no_meta)
+
+let emit_matrix o report =
+  let report =
+    if o.no_meta then report
+    else
+      {
+        report with
+        Bench_report.Matrix_report.meta =
+          Some (Bench_report.Matrix_report.collect_meta ~jobs:o.jobs);
+      }
+  in
+  (match o.out with
+  | Some path ->
+      Bench_report.Matrix_report.write ~with_meta:(not o.no_meta) path report
+  | None -> ());
+  if o.json then
+    print_endline
+      (Bench_report.Json.to_string ~indent:2
+         (Bench_report.Matrix_report.to_json ~with_meta:(not o.no_meta) report))
+  else Experiments.Report.matrix Format.std_formatter report
+
+let experiments_run_cmd =
+  let doc =
+    "Run the replicated experiment matrix: every parameter point of the \
+     selected experiments, $(b,--replicates) times each with an \
+     independent derived seed, in parallel across $(b,--jobs) workers. \
+     Results (mean / stddev / 95% CI per metric) are identical for any \
+     job count."
+  in
+  let ids =
+    Arg.(value & pos_all string []
+         & info [] ~docv:"ID"
+             ~doc:"Experiment ids (see $(b,experiments list)). Default: all.")
+  in
+  let all =
+    Arg.(value & flag
+         & info [ "all" ] ~doc:"Run every experiment (same as passing no ids).")
+  in
+  let quick =
+    Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sweeps for a smoke run.")
+  in
+  let replicates =
+    Arg.(value & opt int 1
+         & info [ "r"; "replicates" ] ~docv:"R"
+             ~doc:"Independent replicates per parameter point.")
+  in
+  let run ids all quick replicates o trace_dir channel_trace =
     set_trace_config trace_dir;
     set_channel_trace channel_trace;
     if replicates < 1 then begin
       Format.eprintf "--replicates must be >= 1@.";
       exit 2
     end;
-    let selected = select_experiments ids all in
+    let selected = select_experiments ~list_cmd:"experiments list" ids all in
     let experiments = Experiments.All.matrix ~quick selected in
-    let jobs =
-      max 1
-        (match jobs with
-        | Some j -> j
-        | None -> Runner.Pool.default_jobs ())
-    in
-    let report =
-      Runner.run ~jobs ~root_seed ~replicates experiments
-    in
-    let report =
-      if no_meta then report
-      else
-        {
-          report with
-          Bench_report.Matrix_report.meta =
-            Some (Bench_report.Matrix_report.collect_meta ~jobs);
-        }
-    in
-    (match out with
-    | Some path ->
-        Bench_report.Matrix_report.write ~with_meta:(not no_meta) path report
-    | None -> ());
-    if json then
-      print_endline
-        (Bench_report.Json.to_string ~indent:2
-           (Bench_report.Matrix_report.to_json ~with_meta:(not no_meta) report))
-    else Experiments.Report.matrix Format.std_formatter report
+    emit_matrix o
+      (Runner.run ~jobs:o.jobs ~root_seed:o.root_seed ~replicates experiments)
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ ids $ all $ quick $ jobs $ replicates $ root_seed $ json
-      $ out $ no_meta $ trace_dir_arg $ channel_trace_arg)
+      const run $ ids $ all $ quick $ replicates $ matrix_opts $ trace_dir_arg
+      $ channel_trace_arg)
+
+(* One `soak` command per adversary (`handover`, `corrupt`, `feedback`):
+   the spec supplies the schedules, the matrix id and the hard gate. *)
+let soak_cmd (spec : Experiments.Soak.spec) ~doc =
+  let schedules =
+    Arg.(value & opt int 50
+         & info [ "schedules" ] ~docv:"N"
+             ~doc:"Random adversary schedules to sweep.")
+  in
+  let run schedules o trace_dir =
+    set_trace_config trace_dir;
+    if schedules < 1 then begin
+      Format.eprintf "--schedules must be >= 1@.";
+      exit 2
+    end;
+    let report =
+      Experiments.Soak.run ~jobs:o.jobs ~root_seed:o.root_seed spec ~schedules
+    in
+    emit_matrix o report;
+    match Experiments.Soak.violations spec report with
+    | [] -> ()
+    | violated ->
+        Format.eprintf "%s in %d schedule(s): %s@." spec.gate_message
+          (List.length violated)
+          (String.concat ", " violated);
+        exit 1
+  in
+  Cmd.v (Cmd.info "soak" ~doc)
+    Term.(const run $ schedules $ matrix_opts $ trace_dir_arg)
 
 let experiments_cmd =
   let doc = "Replicated experiment-matrix runner (deterministic seeds)." in
@@ -397,12 +438,6 @@ let sim_cmd =
   in
   let seed =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
-  in
-  let trace_file =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Write the run's JSONL event trace to $(docv) (plus \
-                   $(docv).metrics.json).")
   in
   let run protocol frames ber cber distance_km rate_mbps payload seed json
       trace_file channel_trace =
@@ -526,7 +561,7 @@ let sim_cmd =
     Term.(
       ret
         (const run $ protocol $ frames $ ber $ cber $ distance_km $ rate_mbps
-       $ payload $ seed $ json $ trace_file $ channel_trace_arg))
+       $ payload $ seed $ json $ trace_file_arg $ channel_trace_arg))
 
 (* --- trace: capture, validate and summarise JSONL traces --------------- *)
 
@@ -666,34 +701,17 @@ let trace_cmd =
 
 (* --- handover: contact-window session migration ------------------------ *)
 
-let outcome_json (o : Experiments.E21_handover.outcome) =
-  let buf = Buffer.create 512 in
-  let sep = ref "" in
-  let field k v =
-    Printf.bprintf buf "%s%s: %s" !sep (Stats.Jsonstr.escape k) v;
-    sep := ", "
-  in
-  let int k v = field k (string_of_int v) in
-  Buffer.add_char buf '{';
-  int "messages_completed" o.Experiments.E21_handover.messages_completed;
-  int "payloads" o.Experiments.E21_handover.payload_count;
-  int "duplicates_dropped" o.Experiments.E21_handover.duplicates_dropped;
-  int "windows_opened" o.Experiments.E21_handover.windows_opened;
-  int "sessions" o.Experiments.E21_handover.sessions;
-  int "mid_window_failures" o.Experiments.E21_handover.mid_window_failures;
-  int "carried_over" o.Experiments.E21_handover.carried_over;
-  int "suspicious_carried" o.Experiments.E21_handover.suspicious_carried;
-  int "retained" o.Experiments.E21_handover.retained;
-  int "link_transitions" o.Experiments.E21_handover.link_transitions;
-  field "completed" (string_of_bool o.Experiments.E21_handover.completed);
-  int "oracle_violations"
-    (List.length o.Experiments.E21_handover.violations);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+(* Shared flags of the single adversary runs (`handover run`, `corrupt
+   run`, `feedback run`). *)
+let run_seed_arg =
+  Arg.(value & opt int 11 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
 
-(* JSON/text printers for corruption-run outcomes (shared by `handover
-   run --corrupt-script` and `corrupt run`). Hand-rolled like
-   [outcome_json] so float formatting matches the benchmark pipeline. *)
+let outcome_json_arg =
+  Arg.(value & flag & info [ "json" ] ~doc:"Print the outcome as JSON.")
+
+(* Hand-rolled JSON objects for one-run outcomes (`handover run`,
+   `corrupt run`, `feedback run`), so float formatting matches the
+   benchmark pipeline. *)
 let json_obj fields =
   let buf = Buffer.create 512 in
   Buffer.add_char buf '{';
@@ -704,6 +722,25 @@ let json_obj fields =
     fields;
   Buffer.add_char buf '}';
   Buffer.contents buf
+
+let outcome_json (o : Experiments.E21_handover.outcome) =
+  let module E = Experiments.E21_handover in
+  let int k v = (k, string_of_int v) in
+  json_obj
+    [
+      int "messages_completed" o.E.messages_completed;
+      int "payloads" o.E.payload_count;
+      int "duplicates_dropped" o.E.duplicates_dropped;
+      int "windows_opened" o.E.windows_opened;
+      int "sessions" o.E.sessions;
+      int "mid_window_failures" o.E.mid_window_failures;
+      int "carried_over" o.E.carried_over;
+      int "suspicious_carried" o.E.suspicious_carried;
+      int "retained" o.E.retained;
+      int "link_transitions" o.E.link_transitions;
+      ("completed", string_of_bool o.E.completed);
+      int "oracle_violations" (List.length o.E.violations);
+    ]
 
 let corruption_outcome_json (o : Experiments.E22_corruption.outcome) =
   json_obj
@@ -816,9 +853,6 @@ let handover_run_cmd =
      $(b,--messages) and $(b,--cut) do not apply) with the \
      cross-handover oracle in convergence mode."
   in
-  let seed =
-    Arg.(value & opt int 11 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
-  in
   let messages =
     Arg.(value & opt int 10
          & info [ "n"; "messages" ] ~docv:"N" ~doc:"Messages to transfer.")
@@ -840,9 +874,6 @@ let handover_run_cmd =
                    $(b,first-nak) (between a NAK-bearing checkpoint and \
                    its arrival) or $(b,recovery) (during enforced \
                    recovery).")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the outcome as JSON.")
   in
   let run plan_file corrupt_file seed messages cut json trace_dir =
     set_trace_config trace_dir;
@@ -898,103 +929,17 @@ let handover_run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       ret
-        (const run $ contact_plan_arg $ corrupt_script_arg $ seed $ messages
-       $ cut $ json $ trace_dir_arg))
+        (const run $ contact_plan_arg $ corrupt_script_arg $ run_seed_arg
+       $ messages $ cut $ outcome_json_arg $ trace_dir_arg))
 
 let handover_soak_cmd =
-  let doc =
-    "Seed-pinned chaos soak: sweep random blackout schedules over E21's \
-     contact plan through the replicated matrix runner, the \
-     cross-handover oracle watching every run. Results (and any \
-     captured traces) are byte-identical for any $(b,--jobs) value. \
-     Exits non-zero when any schedule trips the oracle."
-  in
-  let schedules =
-    Arg.(value & opt int 50
-         & info [ "schedules" ] ~docv:"N"
-             ~doc:"Random blackout schedules to sweep.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Worker count (results identical for any value).")
-  in
-  let root_seed =
-    Arg.(value & opt int 1
-         & info [ "root-seed" ] ~docv:"SEED"
-             ~doc:"Root seed every schedule's task seed derives from.")
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Print the matrix report as JSON on stdout.")
-  in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "out" ] ~docv:"FILE"
-             ~doc:"Also write the JSON to $(docv).")
-  in
-  let no_meta =
-    Arg.(value & flag
-         & info [ "no-meta" ]
-             ~doc:"Omit run metadata so two runs diff byte-for-byte.")
-  in
-  let run schedules jobs root_seed json out no_meta trace_dir =
-    set_trace_config trace_dir;
-    if schedules < 1 then begin
-      Format.eprintf "--schedules must be >= 1@.";
-      exit 2
-    end;
-    let jobs =
-      max 1
-        (match jobs with
-        | Some j -> j
-        | None -> Runner.Pool.default_jobs ())
-    in
-    let report = Experiments.E21_handover.soak ~jobs ~root_seed ~schedules () in
-    let report =
-      if no_meta then report
-      else
-        {
-          report with
-          Bench_report.Matrix_report.meta =
-            Some (Bench_report.Matrix_report.collect_meta ~jobs);
-        }
-    in
-    (match out with
-    | Some path ->
-        Bench_report.Matrix_report.write ~with_meta:(not no_meta) path report
-    | None -> ());
-    if json then
-      print_endline
-        (Bench_report.Json.to_string ~indent:2
-           (Bench_report.Matrix_report.to_json ~with_meta:(not no_meta) report))
-    else Experiments.Report.matrix Format.std_formatter report;
-    let violated =
-      List.concat_map
-        (fun e ->
-          List.filter_map
-            (fun p ->
-              match
-                List.assoc_opt "oracle_violations"
-                  p.Bench_report.Matrix_report.metrics
-              with
-              | Some s when s.Bench_report.Matrix_report.max > 0. ->
-                  Some p.Bench_report.Matrix_report.label
-              | _ -> None)
-            e.Bench_report.Matrix_report.points)
-        report.Bench_report.Matrix_report.experiments
-    in
-    if violated <> [] then begin
-      Format.eprintf "oracle violations in %d schedule(s): %s@."
-        (List.length violated)
-        (String.concat ", " violated);
-      exit 1
-    end
-  in
-  Cmd.v (Cmd.info "soak" ~doc)
-    Term.(
-      const run $ schedules $ jobs $ root_seed $ json $ out $ no_meta
-      $ trace_dir_arg)
+  soak_cmd Experiments.E21_handover.soak_suite
+    ~doc:
+      "Seed-pinned chaos soak: sweep random blackout schedules over E21's \
+       contact plan through the replicated matrix runner, the \
+       cross-handover oracle watching every run. Results (and any \
+       captured traces) are byte-identical for any $(b,--jobs) value. \
+       Exits non-zero when any schedule trips the oracle."
 
 let handover_cmd =
   let doc =
@@ -1003,6 +948,12 @@ let handover_cmd =
   Cmd.group (Cmd.info "handover" ~doc) [ handover_run_cmd; handover_soak_cmd ]
 
 (* --- corrupt: self-stabilisation under live-state corruption ----------- *)
+
+(* The single-link variants, by tag (`corrupt run`, `feedback run`). *)
+let variant_enum =
+  List.map
+    (fun v -> (Experiments.Soak.variant_tag v, v))
+    Experiments.Soak.variants
 
 let corrupt_run_cmd =
   let doc =
@@ -1016,14 +967,10 @@ let corrupt_run_cmd =
   let variant =
     let v =
       Arg.enum
-        [
-          ("lams", `Lams);
-          ("sr-hdlc", `Sr_hdlc);
-          ("nbdt", `Nbdt);
-          ("handover", `Handover);
-        ]
+        (List.map (fun (tag, v) -> (tag, `Stream v)) variant_enum
+        @ [ ("handover", `Handover) ])
     in
-    Arg.(value & pos 0 v `Lams
+    Arg.(value & pos 0 v (`Stream Experiments.Soak.Lams)
          & info [] ~docv:"VARIANT"
              ~doc:"Protocol variant: $(b,lams), $(b,sr-hdlc), $(b,nbdt), \
                    or $(b,handover) (E21's multi-window transfer with \
@@ -1040,23 +987,11 @@ let corrupt_run_cmd =
     in
     Arg.(value & opt (some string) None & info [ "class" ] ~docv:"CLASS" ~doc)
   in
-  let seed =
-    Arg.(value & opt int 11 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
-  in
   let frames =
     Arg.(value & opt (some int) None
          & info [ "n"; "frames" ] ~docv:"N"
              ~doc:"Frames to transfer (single-session variants only; \
                    default: E22's canonical stream length).")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the outcome as JSON.")
-  in
-  let trace_file =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Write the run's JSONL event trace to $(docv) (plus \
-                   $(docv).metrics.json).")
   in
   let run variant klass script seed frames json trace_file =
     let spec =
@@ -1096,13 +1031,7 @@ let corrupt_run_cmd =
               in
               finish ();
               print_corruption_handover ~json o
-          | (`Lams | `Sr_hdlc | `Nbdt) as v ->
-              let v =
-                match v with
-                | `Lams -> Experiments.E22_corruption.Lams
-                | `Sr_hdlc -> Experiments.E22_corruption.Sr_hdlc
-                | `Nbdt -> Experiments.E22_corruption.Nbdt_bulk
-              in
+          | `Stream v ->
               let o =
                 Experiments.E22_corruption.run_one ?recorder ?frames ~seed v
                   spec
@@ -1116,106 +1045,18 @@ let corrupt_run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       ret
-        (const run $ variant $ klass $ corrupt_script_arg $ seed $ frames
-       $ json $ trace_file))
+        (const run $ variant $ klass $ corrupt_script_arg $ run_seed_arg
+       $ frames $ outcome_json_arg $ trace_file_arg))
 
 let corrupt_soak_cmd =
-  let doc =
-    "Seed-pinned corruption soak: sweep random adversary corruption \
-     schedules over E21's mid-handover transfer through the replicated \
-     matrix runner, the cross-handover oracle in convergence mode \
-     watching every run. Results are byte-identical for any $(b,--jobs) \
-     value. Exits non-zero when any schedule trips the oracle (fails \
-     to reconverge or loses unledgered payloads)."
-  in
-  let schedules =
-    Arg.(value & opt int 50
-         & info [ "schedules" ] ~docv:"N"
-             ~doc:"Random corruption schedules to sweep.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Worker count (results identical for any value).")
-  in
-  let root_seed =
-    Arg.(value & opt int 1
-         & info [ "root-seed" ] ~docv:"SEED"
-             ~doc:"Root seed every schedule's task seed derives from.")
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Print the matrix report as JSON on stdout.")
-  in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "out" ] ~docv:"FILE"
-             ~doc:"Also write the JSON to $(docv).")
-  in
-  let no_meta =
-    Arg.(value & flag
-         & info [ "no-meta" ]
-             ~doc:"Omit run metadata so two runs diff byte-for-byte.")
-  in
-  let run schedules jobs root_seed json out no_meta trace_dir =
-    set_trace_config trace_dir;
-    if schedules < 1 then begin
-      Format.eprintf "--schedules must be >= 1@.";
-      exit 2
-    end;
-    let jobs =
-      max 1
-        (match jobs with
-        | Some j -> j
-        | None -> Runner.Pool.default_jobs ())
-    in
-    let report =
-      Experiments.E22_corruption.soak ~jobs ~root_seed ~schedules ()
-    in
-    let report =
-      if no_meta then report
-      else
-        {
-          report with
-          Bench_report.Matrix_report.meta =
-            Some (Bench_report.Matrix_report.collect_meta ~jobs);
-        }
-    in
-    (match out with
-    | Some path ->
-        Bench_report.Matrix_report.write ~with_meta:(not no_meta) path report
-    | None -> ());
-    if json then
-      print_endline
-        (Bench_report.Json.to_string ~indent:2
-           (Bench_report.Matrix_report.to_json ~with_meta:(not no_meta) report))
-    else Experiments.Report.matrix Format.std_formatter report;
-    let violated =
-      List.concat_map
-        (fun e ->
-          List.filter_map
-            (fun p ->
-              match
-                List.assoc_opt "oracle_violations"
-                  p.Bench_report.Matrix_report.metrics
-              with
-              | Some s when s.Bench_report.Matrix_report.max > 0. ->
-                  Some p.Bench_report.Matrix_report.label
-              | _ -> None)
-            e.Bench_report.Matrix_report.points)
-        report.Bench_report.Matrix_report.experiments
-    in
-    if violated <> [] then begin
-      Format.eprintf "oracle violations in %d schedule(s): %s@."
-        (List.length violated)
-        (String.concat ", " violated);
-      exit 1
-    end
-  in
-  Cmd.v (Cmd.info "soak" ~doc)
-    Term.(
-      const run $ schedules $ jobs $ root_seed $ json $ out $ no_meta
-      $ trace_dir_arg)
+  soak_cmd Experiments.E22_corruption.soak_suite
+    ~doc:
+      "Seed-pinned corruption soak: sweep random adversary corruption \
+       schedules over E21's mid-handover transfer through the replicated \
+       matrix runner, the cross-handover oracle in convergence mode \
+       watching every run. Results are byte-identical for any $(b,--jobs) \
+       value. Exits non-zero when any schedule trips the oracle (fails \
+       to reconverge or loses unledgered payloads)."
 
 let corrupt_cmd =
   let doc =
@@ -1287,10 +1128,7 @@ let feedback_run_cmd =
      undeclared stall."
   in
   let variant =
-    let v =
-      Arg.enum [ ("lams", `Lams); ("sr-hdlc", `Sr_hdlc); ("nbdt", `Nbdt) ]
-    in
-    Arg.(value & pos 0 v `Lams
+    Arg.(value & pos 0 (enum variant_enum) Experiments.Soak.Lams
          & info [] ~docv:"VARIANT"
              ~doc:"Protocol variant: $(b,lams), $(b,sr-hdlc) or $(b,nbdt).")
   in
@@ -1317,32 +1155,14 @@ let feedback_run_cmd =
              ~doc:"Run the bare paper protocol without the plausibility \
                    guard.")
   in
-  let seed =
-    Arg.(value & opt int 11 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
-  in
   let frames =
     Arg.(value & opt (some int) None
          & info [ "n"; "frames" ] ~docv:"N"
              ~doc:"Frames to transfer (default: E24's canonical stream \
                    length).")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the outcome as JSON.")
-  in
-  let trace_file =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Write the run's JSONL event trace to $(docv) (plus \
-                   $(docv).metrics.json).")
-  in
   let run variant lie lie_script no_guard seed frames json trace_file =
     let module E = Experiments.E24_feedback in
-    let variant =
-      match variant with
-      | `Lams -> E.Lams
-      | `Sr_hdlc -> E.Sr_hdlc
-      | `Nbdt -> E.Nbdt_bulk
-    in
     let lie_of_tag tag =
       List.find_opt (fun l -> E.lie_tag l = tag) E.lies
     in
@@ -1388,112 +1208,18 @@ let feedback_run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       ret
-        (const run $ variant $ lie $ lie_script $ no_guard $ seed $ frames
-       $ json $ trace_file))
+        (const run $ variant $ lie $ lie_script $ no_guard $ run_seed_arg
+       $ frames $ outcome_json_arg $ trace_file_arg))
 
 let feedback_soak_cmd =
-  let doc =
-    "Seed-pinned lying-feedback soak: sweep random reverse-channel lie \
-     schedules (forged ACKs, checkpoint rewrites, stale replays, mixed \
-     with drops) over all three variants with the guard on, through the \
-     replicated matrix runner. Results are byte-identical for any \
-     $(b,--jobs) value. Exits non-zero when any schedule wrongly \
-     releases data or stalls without declaring failure."
-  in
-  let schedules =
-    Arg.(value & opt int 50
-         & info [ "schedules" ] ~docv:"N"
-             ~doc:"Random lie schedules to sweep.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Worker count (results identical for any value).")
-  in
-  let root_seed =
-    Arg.(value & opt int 1
-         & info [ "root-seed" ] ~docv:"SEED"
-             ~doc:"Root seed every schedule's task seed derives from.")
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Print the matrix report as JSON on stdout.")
-  in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "out" ] ~docv:"FILE"
-             ~doc:"Also write the JSON to $(docv).")
-  in
-  let no_meta =
-    Arg.(value & flag
-         & info [ "no-meta" ]
-             ~doc:"Omit run metadata so two runs diff byte-for-byte.")
-  in
-  let run schedules jobs root_seed json out no_meta trace_dir =
-    set_trace_config trace_dir;
-    if schedules < 1 then begin
-      Format.eprintf "--schedules must be >= 1@.";
-      exit 2
-    end;
-    let jobs =
-      max 1
-        (match jobs with
-        | Some j -> j
-        | None -> Runner.Pool.default_jobs ())
-    in
-    let report =
-      Experiments.E24_feedback.soak ~jobs ~root_seed ~schedules ()
-    in
-    let report =
-      if no_meta then report
-      else
-        {
-          report with
-          Bench_report.Matrix_report.meta =
-            Some (Bench_report.Matrix_report.collect_meta ~jobs);
-        }
-    in
-    (match out with
-    | Some path ->
-        Bench_report.Matrix_report.write ~with_meta:(not no_meta) path report
-    | None -> ());
-    if json then
-      print_endline
-        (Bench_report.Json.to_string ~indent:2
-           (Bench_report.Matrix_report.to_json ~with_meta:(not no_meta) report))
-    else Experiments.Report.matrix Format.std_formatter report;
-    let metric p name =
-      match
-        List.assoc_opt name p.Bench_report.Matrix_report.metrics
-      with
-      | Some s -> s.Bench_report.Matrix_report.max
-      | None -> 0.
-    in
-    let violated =
-      List.concat_map
-        (fun e ->
-          List.filter_map
-            (fun p ->
-              if
-                metric p "wrongful_releases" > 0.
-                || (metric p "completed" = 0.
-                    && metric p "failure_declared" = 0.)
-              then Some p.Bench_report.Matrix_report.label
-              else None)
-            e.Bench_report.Matrix_report.points)
-        report.Bench_report.Matrix_report.experiments
-    in
-    if violated <> [] then begin
-      Format.eprintf "feedback-safety violations in %d schedule(s): %s@."
-        (List.length violated)
-        (String.concat ", " violated);
-      exit 1
-    end
-  in
-  Cmd.v (Cmd.info "soak" ~doc)
-    Term.(
-      const run $ schedules $ jobs $ root_seed $ json $ out $ no_meta
-      $ trace_dir_arg)
+  soak_cmd Experiments.E24_feedback.soak_suite
+    ~doc:
+      "Seed-pinned lying-feedback soak: sweep random reverse-channel lie \
+       schedules (forged ACKs, checkpoint rewrites, stale replays, mixed \
+       with drops) over all three variants with the guard on, through the \
+       replicated matrix runner. Results are byte-identical for any \
+       $(b,--jobs) value. Exits non-zero when any schedule wrongly \
+       releases data or stalls without declaring failure."
 
 let feedback_cmd =
   let doc =

@@ -107,107 +107,62 @@ let install_phase_cut engine ~probe ~duplex ~cut ~outage =
 let fingerprint ~seed setup =
   Digest.to_hex (Digest.string (Marshal.to_string (seed, setup) []))
 
+let journey s =
+  {
+    Soak.plan = s.plan;
+    params = s.params;
+    n_messages = s.n_messages;
+    msg_bytes = s.msg_bytes;
+    mtu = s.mtu;
+    distance_m = s.distance_m;
+    data_rate_bps = s.data_rate_bps;
+    ber = s.ber;
+    cframe_ber = s.cframe_ber;
+    horizon = s.horizon;
+  }
+
 let run_transfer ~seed setup =
-  let capture =
-    Trace.Capture.start ~proto:"handover" ~seed
-      ~fingerprint:(fingerprint ~seed setup) ()
+  let t =
+    Soak.transfer ~tag:"e21" ~proto:"handover"
+      ~fingerprint:(fingerprint ~seed setup) ~seed (journey setup)
+      ~adversary:(fun { Soak.engine; duplex; probe; _ } ->
+        (match setup.drop_nth_iframe with
+        | Some n ->
+            Channel.Fault.install
+              (Channel.Fault.of_rules
+                 [ Channel.Fault.rule (Channel.Fault.I_nth n) Channel.Fault.Drop ])
+              duplex.Channel.Duplex.forward
+        | None -> ());
+        install_phase_cut engine ~probe ~duplex ~cut:setup.cut
+          ~outage:setup.cut_outage;
+        List.iter
+          (fun (start, len) ->
+            ignore
+              (Sim.Engine.schedule engine ~delay:start (fun () ->
+                   Channel.Duplex.set_down duplex)
+                : Sim.Engine.event_id);
+            ignore
+              (Sim.Engine.schedule engine ~delay:(start +. len) (fun () ->
+                   Channel.Duplex.set_up duplex)
+                : Sim.Engine.event_id))
+          setup.blackouts)
   in
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.create ~seed in
-  let duplex =
-    Channel.Duplex.create_static engine ~rng ~distance_m:setup.distance_m
-      ~data_rate_bps:setup.data_rate_bps
-      ~iframe_error:(Channel.Error_model.uniform ~ber:setup.ber ())
-      ~cframe_error:(Channel.Error_model.uniform ~ber:setup.cframe_ber ())
-  in
-  (match setup.drop_nth_iframe with
-  | Some n ->
-      Channel.Fault.install
-        (Channel.Fault.of_rules
-           [ Channel.Fault.rule (Channel.Fault.I_nth n) Channel.Fault.Drop ])
-        duplex.Channel.Duplex.forward
-  | None -> ());
-  let probe = Dlc.Probe.create () in
-  (match capture with
-  | Some c -> Trace.Recorder.attach_probe (Trace.Capture.recorder c) probe
-  | None -> ());
-  let transfer = Oracle.Transfer.create ~name:"e21-transfer" in
-  Oracle.Transfer.observe transfer probe;
-  let manager =
-    Handover.Manager.create ~probe engine ~params:setup.params ~duplex
-      ~plan:setup.plan
-  in
-  Handover.Manager.set_on_suspicious_replay manager
-    (Oracle.Transfer.mark_suspicious transfer);
-  install_phase_cut engine ~probe ~duplex ~cut:setup.cut
-    ~outage:setup.cut_outage;
-  List.iter
-    (fun (start, len) ->
-      ignore
-        (Sim.Engine.schedule engine ~delay:start (fun () ->
-             Channel.Duplex.set_down duplex)
-          : Sim.Engine.event_id);
-      ignore
-        (Sim.Engine.schedule engine ~delay:(start +. len) (fun () ->
-             Channel.Duplex.set_up duplex)
-          : Sim.Engine.event_id))
-    setup.blackouts;
-  let reseq = Netstack.Resequencer.create () in
-  let completed_msgs = ref 0 in
-  (* the sink invariant is uniqueness, not id order: a retransmitted
-     fragment of message k can arrive after message k+1 completed, so
-     completion order is legitimately loose — Oracle.Stream's strict
-     ordering only applies when messages finish transit one at a time
-     (see test_netstack's property) *)
-  Netstack.Resequencer.set_on_message reseq (fun ~src:_ ~msg_id ~body:_ ->
-      incr completed_msgs;
-      Oracle.Transfer.on_sink transfer ~now:(Sim.Engine.now engine) msg_id);
-  Handover.Manager.set_on_deliver manager (fun ~payload ->
-      match Workload.Messages.decode payload with
-      | Ok frag -> Netstack.Resequencer.push reseq frag
-      | Error e -> failwith ("e21: undecodable fragment: " ^ e));
-  let payloads =
-    List.concat_map
-      (fun msg_id ->
-        let body =
-          String.init setup.msg_bytes (fun i ->
-              Char.chr ((((msg_id * 131) + (i * 7)) land 0x3f) + 48))
-        in
-        List.map Workload.Messages.encode
-          (Workload.Messages.fragment_message ~msg_id ~src:1 ~dst:2
-             ~mtu:setup.mtu body))
-      (List.init setup.n_messages (fun i -> i))
-  in
-  List.iter
-    (fun p ->
-      if not (Handover.Manager.offer manager p) then
-        failwith "e21: manager refused an offer before plan end")
-    payloads;
-  Sim.Engine.run engine ~until:setup.horizon;
-  Handover.Manager.stop manager;
-  Sim.Engine.run engine ~until:(setup.horizon +. 1.);
-  let retained = Handover.Manager.retained manager in
-  Oracle.Transfer.finalize ~retained transfer;
-  let stats = Handover.Manager.stats manager in
-  let outcome =
-    {
-      messages_completed = !completed_msgs;
-      payload_count = List.length payloads;
-      duplicates_dropped = Netstack.Resequencer.duplicates_dropped reseq;
-      windows_opened = stats.Handover.Manager.windows_opened;
-      sessions = stats.Handover.Manager.sessions_created;
-      mid_window_failures = stats.Handover.Manager.mid_window_failures;
-      carried_over = stats.Handover.Manager.carried_over;
-      suspicious_carried = stats.Handover.Manager.suspicious_carried;
-      retained = List.length retained;
-      link_transitions = Handover.Lifecycle.transitions
-          (Handover.Manager.lifecycle manager);
-      completed = !completed_msgs >= setup.n_messages;
-      violations = Oracle.Transfer.violations transfer;
-    }
-  in
-  (match capture with Some c -> Trace.Capture.finish c | None -> ());
-  outcome
+  let stats = Handover.Manager.stats t.Soak.manager in
+  {
+    messages_completed = t.Soak.messages_completed;
+    payload_count = t.Soak.payload_count;
+    duplicates_dropped = t.Soak.duplicates_dropped;
+    windows_opened = stats.Handover.Manager.windows_opened;
+    sessions = stats.Handover.Manager.sessions_created;
+    mid_window_failures = stats.Handover.Manager.mid_window_failures;
+    carried_over = stats.Handover.Manager.carried_over;
+    suspicious_carried = stats.Handover.Manager.suspicious_carried;
+    retained = t.Soak.retained;
+    link_transitions =
+      Handover.Lifecycle.transitions (Handover.Manager.lifecycle t.Soak.manager);
+    completed = t.Soak.messages_completed >= setup.n_messages;
+    violations = Oracle.Transfer.violations t.Soak.oracle;
+  }
 
 (* --- matrix points ------------------------------------------------------- *)
 
@@ -267,21 +222,18 @@ let soak_setup ~seed =
   in
   { default_setup with blackouts }
 
-let soak_experiment ~schedules =
+let soak_suite =
   {
-    Runner.id = "e21-soak";
+    Soak.id = "e21-soak";
     name = "handover chaos soak";
-    points =
-      List.init schedules (fun i ->
-          {
-            Runner.label = Printf.sprintf "schedule=%03d" i;
-            run =
-              (fun ~seed -> outcome_metrics (run_transfer ~seed (soak_setup ~seed)));
-          });
+    label = Printf.sprintf "schedule=%03d";
+    run = (fun ~seed _ -> outcome_metrics (run_transfer ~seed (soak_setup ~seed)));
+    gate = (fun metric -> metric "oracle_violations" > 0.);
+    gate_message = "oracle violations";
   }
 
 let soak ?jobs ?root_seed ~schedules () =
-  Runner.run ?jobs ?root_seed ~replicates:1 [ soak_experiment ~schedules ]
+  Soak.run ?jobs ?root_seed soak_suite ~schedules
 
 (* --- report -------------------------------------------------------------- *)
 

@@ -55,11 +55,19 @@ type outcome = {
           clean run *)
 }
 
+val journey : setup -> Soak.journey
+(** The transfer geometry of [setup], without its adversary. *)
+
 val run_transfer : seed:int -> setup -> outcome
 (** One full journey; captures a trace when {!Trace.Config} is set. *)
 
 val points : quick:bool -> Runner.point list
 (** Parameter points for the replicated matrix runner. *)
+
+val soak_suite : Soak.spec
+(** Seed-pinned chaos soak: one matrix point per random blackout
+    schedule, each schedule derived from its own task seed. Gate: the
+    [oracle_violations] metric is 0 on every point. *)
 
 val soak :
   ?jobs:int ->
@@ -67,10 +75,7 @@ val soak :
   schedules:int ->
   unit ->
   Bench_report.Matrix_report.t
-(** Seed-pinned chaos soak: one matrix point per blackout schedule, each
-    schedule derived from its own task seed (so any schedule index
-    reproduces identically on any worker of any [--jobs] run). The
-    [oracle_violations] metric must be 0 on every point. *)
+(** [Soak.run soak_suite]. *)
 
 val run : ?plan:Handover.Plan.t -> ?quick:bool -> Format.formatter -> unit
 (** Print the E21 report. [plan] overrides the scripted three-window

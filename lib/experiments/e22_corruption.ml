@@ -1,34 +1,19 @@
 let name = "E22 self-stabilisation: convergence after live-state corruption"
 
-(* A short, fast link so recovery time scales are milliseconds: the
-   quantity under study is the convergence window after an injected
+(* Soak's short, fast link, so recovery time scales are milliseconds:
+   the quantity under study is the convergence window after an injected
    state corruption, not bandwidth-delay stress. *)
-let distance_m = 150_000.
-
-let data_rate_bps = 100e6
-
-let payload_bytes = 512
-
-let n_frames = 400
-
 let ber = 1e-6
 
 let cframe_ber = 1e-7
 
-let horizon = 0.5
-
 let inject_at = 5e-3
 
-let rtt = 2. *. distance_m /. Channel.Link.speed_of_light
+type variant = Soak.variant = Lams | Sr_hdlc | Nbdt_bulk
 
-type variant = Lams | Sr_hdlc | Nbdt_bulk
+let variant_tag = Soak.variant_tag
 
-let variant_tag = function
-  | Lams -> "lams"
-  | Sr_hdlc -> "sr-hdlc"
-  | Nbdt_bulk -> "nbdt"
-
-let variants = [ Lams; Sr_hdlc; Nbdt_bulk ]
+let variants = Soak.variants
 
 (* Convergence budget k, in checkpoint emissions. LAMS checkpoints and
    NBDT reports are periodic (w_cp / report_interval), so k bounds wall
@@ -36,21 +21,6 @@ let variants = [ Lams; Sr_hdlc; Nbdt_bulk ]
    orders of magnitude faster than the recovery RTT, so its budget is
    correspondingly larger. *)
 let convergence_k = function Lams -> 8 | Sr_hdlc -> 64 | Nbdt_bulk -> 8
-
-let lams_params =
-  { Lams_dlc.Params.default with Lams_dlc.Params.w_cp = 1e-3; c_depth = 3 }
-
-let hdlc_params =
-  { Hdlc.Params.default with Hdlc.Params.t_out = 1.5 *. rtt }
-
-let nbdt_params =
-  { Nbdt.Params.default with Nbdt.Params.report_interval = 1e-3 }
-
-let lams_holding_bound params =
-  Lams_dlc.Params.resolving_period params ~rtt
-  +. params.Lams_dlc.Params.w_cp
-  +. (65536. /. data_rate_bps)
-  +. 1e-3
 
 (* The six timed corruption classes, with canonical arguments; the
    seventh class, carryover staleness, lives in the handover run. *)
@@ -84,130 +54,42 @@ type outcome = {
   violations : Oracle.violation list;
 }
 
-let max_or_zero = List.fold_left max 0.
-
-let fingerprint ~seed ~variant spec =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "|"
-          [ string_of_int seed; variant; Dlc.Corrupt.describe spec ]))
-
-let run_one ?recorder ?k:k_override ?(frames = n_frames) ~seed variant spec =
+let run_one ?recorder ?k ?frames ~seed variant spec =
   let tag = variant_tag variant in
   let corrupt = Dlc.Corrupt.compile spec in
-  let capture =
-    match (recorder, Trace.Config.get ()) with
-    | Some _, _ | None, None -> None
-    | None, Some _ ->
-        Trace.Capture.start ~proto:("e22-" ^ tag) ~seed
-          ~fingerprint:(fingerprint ~seed ~variant:tag corrupt)
-          ()
+  let r =
+    Soak.stream ?recorder ?frames
+      ~k:(Option.value k ~default:(convergence_k variant))
+      ~prefix:"e22" ~fingerprint:
+        (Soak.fingerprint
+           [ string_of_int seed; tag; Dlc.Corrupt.describe corrupt ])
+      ~seed ~ber ~cframe_ber ~params:(Soak.stream_params ())
+      ~adversary:(fun { Soak.engine; probe; surface; _ } ->
+        let declared = ref false in
+        Dlc.Probe.subscribe probe (fun ~now:_ ev ->
+            match ev with
+            | Dlc.Probe.Failure_declared -> declared := true
+            | _ -> ());
+        Dlc.Corrupt.install corrupt engine ~surface ~probe;
+        declared)
+      variant
   in
-  let recorder =
-    match capture with
-    | Some c -> Some (Trace.Capture.recorder c)
-    | None -> recorder
-  in
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.create ~seed in
-  let duplex =
-    Channel.Duplex.create_static engine ~rng ~distance_m ~data_rate_bps
-      ~iframe_error:(Channel.Error_model.uniform ~ber ())
-      ~cframe_error:(Channel.Error_model.uniform ~ber:cframe_ber ())
-  in
-  let session, probe, surface, profile, k =
-    match variant with
-    | Lams ->
-        let s = Lams_dlc.Session.create engine ~params:lams_params ~duplex in
-        ( Lams_dlc.Session.as_dlc s,
-          Lams_dlc.Session.probe s,
-          Lams_dlc.Session.corrupt_surface s,
-          Oracle.Lams
-            {
-              c_depth = lams_params.Lams_dlc.Params.c_depth;
-              holding_bound = lams_holding_bound lams_params;
-            },
-          convergence_k Lams )
-    | Sr_hdlc ->
-        let s = Hdlc.Session.create engine ~params:hdlc_params ~duplex in
-        ( Hdlc.Session.as_dlc s,
-          Hdlc.Session.probe s,
-          Hdlc.Session.corrupt_surface s,
-          Oracle.Hdlc
-            {
-              window = hdlc_params.Hdlc.Params.window;
-              seq_bits = hdlc_params.Hdlc.Params.seq_bits;
-            },
-          convergence_k Sr_hdlc )
-    | Nbdt_bulk ->
-        let s = Nbdt.Session.create engine ~params:nbdt_params ~duplex in
-        ( Nbdt.Session.as_dlc s,
-          Nbdt.Session.probe s,
-          Nbdt.Session.corrupt_surface s,
-          Oracle.Nbdt,
-          convergence_k Nbdt_bulk )
-  in
-  let k = Option.value k_override ~default:k in
-  let oracle = Oracle.create ~name:("e22-" ^ tag) profile in
-  Oracle.set_convergence oracle ~k;
-  (* recorder first, oracle second, so a probe event and the violation it
-     triggers land in the flight ring in causal order *)
-  (match recorder with
-  | Some r -> Trace.Recorder.attach_probe r probe
-  | None -> ());
-  Oracle.attach oracle ~probe ~duplex;
-  (match recorder with
-  | Some r -> Trace.Recorder.attach_oracle r oracle
-  | None -> ());
-  let declared = ref false in
-  Dlc.Probe.subscribe probe (fun ~now:_ ev ->
-      match ev with Dlc.Probe.Failure_declared -> declared := true | _ -> ());
-  Dlc.Corrupt.install corrupt engine ~surface ~probe;
-  (* open-loop traffic at half the line rate: the HDLC window keeps
-     headroom, so the send-side scramble class stays applicable *)
-  let line_fps =
-    data_rate_bps
-    /. float_of_int (8 * (payload_bytes + Frame.Wire.iframe_overhead_bytes))
-  in
-  let arrivals =
-    Workload.Arrivals.deterministic engine ~session ~rate:(0.5 *. line_fps)
-      ~count:frames
-      ~payload:(Workload.Arrivals.default_payload ~size:payload_bytes)
-  in
-  let metrics = session.Dlc.Session.metrics in
-  let finished () =
-    Workload.Arrivals.finished arrivals
-    && Dlc.Metrics.unique_delivered metrics >= frames
-  in
-  let rec watch () =
-    if finished () then session.Dlc.Session.stop ()
-    else if Sim.Engine.now engine < horizon then
-      ignore (Sim.Engine.schedule engine ~delay:1e-3 watch : Sim.Engine.event_id)
-  in
-  ignore (Sim.Engine.schedule engine ~delay:1e-3 watch : Sim.Engine.event_id);
-  Sim.Engine.run engine ~until:horizon;
-  session.Dlc.Session.stop ();
-  Sim.Engine.run engine ~until:(horizon +. 1.);
-  Oracle.finalize oracle;
+  let oracle = r.Soak.oracle in
   let conv = Oracle.convergence_times oracle in
-  let outcome =
-    {
-      variant = tag;
-      spec = Dlc.Corrupt.describe corrupt;
-      injected = Dlc.Corrupt.hits corrupt;
-      skipped = Dlc.Corrupt.skipped corrupt;
-      converged = List.length conv;
-      time_to_convergence = max_or_zero conv;
-      tolerated = Oracle.tolerated_count oracle;
-      declared_failure = !declared || Oracle.failure_during_window oracle;
-      unconverged = Oracle.unconverged oracle;
-      completed = Dlc.Metrics.unique_delivered metrics >= frames;
-      delivered = Dlc.Metrics.unique_delivered metrics;
-      violations = Oracle.violations oracle;
-    }
-  in
-  (match capture with Some c -> Trace.Capture.finish c | None -> ());
-  outcome
+  {
+    variant = tag;
+    spec = Dlc.Corrupt.describe corrupt;
+    injected = Dlc.Corrupt.hits corrupt;
+    skipped = Dlc.Corrupt.skipped corrupt;
+    converged = List.length conv;
+    time_to_convergence = Soak.max_or_zero conv;
+    tolerated = Oracle.tolerated_count oracle;
+    declared_failure = !(r.Soak.adversary) || Oracle.failure_during_window oracle;
+    unconverged = Oracle.unconverged oracle;
+    completed = r.Soak.completed;
+    delivered = r.Soak.delivered;
+    violations = Oracle.violations oracle;
+  }
 
 (* --- corruption across a handover (carryover staleness) ----------------- *)
 
@@ -216,36 +98,16 @@ let run_one ?recorder ?k:k_override ?(frames = n_frames) ~seed variant spec =
    Handover.Manager — now with a corruption schedule dispatched into
    whichever session is live, and the cross-handover transfer oracle in
    convergence mode with a casualty ledger for destroyed carryover
-   entries. *)
-let h_windows =
-  [
-    { Orbit.Contact.t_start = 0.; t_end = 0.025 };
-    { Orbit.Contact.t_start = 0.035; t_end = 0.060 };
-    { Orbit.Contact.t_start = 0.070; t_end = 0.095 };
-  ]
-
-let h_plan = Handover.Plan.scripted_exn ~retarget_overhead:2e-3 h_windows
-
-let h_params =
+   entries. Messages are big enough that the transfer is still in flight
+   at every window close: carryover snapshots then hold real unresolved
+   entries for the stale-carryover class to destroy, and mid-transfer
+   injections from the soak land on live traffic. 10 x 100 kB at
+   300 Mbit/s is ~27 ms of line time against 25 ms contact windows. *)
+let h_journey =
   {
-    Lams_dlc.Params.default with
-    Lams_dlc.Params.w_cp = 1e-3;
-    c_depth = 3;
-    request_nak_retries = 3;
+    (E21_handover.journey E21_handover.default_setup) with
+    Soak.msg_bytes = 100_000;
   }
-
-(* Big enough that the transfer is still in flight at every window
-   close: carryover snapshots then hold real unresolved entries for the
-   stale-carryover class to destroy, and mid-transfer injections from
-   the soak land on live traffic. 10 x 100 kB at 300 Mbit/s is ~27 ms of
-   line time against 25 ms contact windows. *)
-let h_messages = 10
-
-let h_msg_bytes = 100_000
-
-let h_mtu = 1024
-
-let h_horizon = 0.15
 
 let h_k = 12
 
@@ -264,100 +126,36 @@ type handover_outcome = {
   h_violations : Oracle.violation list;
 }
 
-let h_fingerprint ~seed spec =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "|"
-          [ "e22-handover"; string_of_int seed; Dlc.Corrupt.describe spec ]))
-
 let run_handover ?recorder ~seed spec =
   let corrupt = Dlc.Corrupt.compile spec in
-  let capture =
-    match (recorder, Trace.Config.get ()) with
-    | Some _, _ | None, None -> None
-    | None, Some _ ->
-        Trace.Capture.start ~proto:"e22-handover" ~seed
-          ~fingerprint:(h_fingerprint ~seed corrupt) ()
+  let t =
+    Soak.transfer ?recorder ~k:h_k ~tag:"e22" ~proto:"e22-handover"
+      ~fingerprint:
+        (Soak.fingerprint
+           [ "e22-handover"; string_of_int seed; Dlc.Corrupt.describe corrupt ])
+      ~seed h_journey
+      ~adversary:(fun { Soak.manager; transfer; _ } ->
+        Handover.Manager.set_corruptor
+          ~on_casualty:(Oracle.Transfer.declare_casualty transfer)
+          manager corrupt)
   in
-  let recorder =
-    match capture with
-    | Some c -> Some (Trace.Capture.recorder c)
-    | None -> recorder
-  in
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.create ~seed in
-  let duplex =
-    Channel.Duplex.create_static engine ~rng ~distance_m:600_000.
-      ~data_rate_bps:300e6
-      ~iframe_error:(Channel.Error_model.uniform ~ber:1e-6 ())
-      ~cframe_error:(Channel.Error_model.uniform ~ber:1e-7 ())
-  in
-  let probe = Dlc.Probe.create () in
-  (match recorder with
-  | Some r -> Trace.Recorder.attach_probe r probe
-  | None -> ());
-  let transfer = Oracle.Transfer.create ~name:"e22-transfer" in
-  Oracle.Transfer.set_convergence transfer ~k:h_k;
-  Oracle.Transfer.observe transfer probe;
-  let manager =
-    Handover.Manager.create ~probe engine ~params:h_params ~duplex ~plan:h_plan
-  in
-  Handover.Manager.set_on_suspicious_replay manager
-    (Oracle.Transfer.mark_suspicious transfer);
-  Handover.Manager.set_corruptor
-    ~on_casualty:(Oracle.Transfer.declare_casualty transfer)
-    manager corrupt;
-  let reseq = Netstack.Resequencer.create () in
-  let completed_msgs = ref 0 in
-  Netstack.Resequencer.set_on_message reseq (fun ~src:_ ~msg_id ~body:_ ->
-      incr completed_msgs;
-      Oracle.Transfer.on_sink transfer ~now:(Sim.Engine.now engine) msg_id);
-  Handover.Manager.set_on_deliver manager (fun ~payload ->
-      match Workload.Messages.decode payload with
-      | Ok frag -> Netstack.Resequencer.push reseq frag
-      | Error e -> failwith ("e22: undecodable fragment: " ^ e));
-  let payloads =
-    List.concat_map
-      (fun msg_id ->
-        let body =
-          String.init h_msg_bytes (fun i ->
-              Char.chr ((((msg_id * 131) + (i * 7)) land 0x3f) + 48))
-        in
-        List.map Workload.Messages.encode
-          (Workload.Messages.fragment_message ~msg_id ~src:1 ~dst:2 ~mtu:h_mtu
-             body))
-      (List.init h_messages (fun i -> i))
-  in
-  List.iter
-    (fun p ->
-      if not (Handover.Manager.offer manager p) then
-        failwith "e22: manager refused an offer before plan end")
-    payloads;
-  Sim.Engine.run engine ~until:h_horizon;
-  Handover.Manager.stop manager;
-  Sim.Engine.run engine ~until:(h_horizon +. 1.);
-  let retained = Handover.Manager.retained manager in
-  Oracle.Transfer.finalize ~retained transfer;
-  let stats = Handover.Manager.stats manager in
+  let transfer = t.Soak.oracle in
   let conv = Oracle.Transfer.convergence_times transfer in
-  let outcome =
-    {
-      h_spec = Dlc.Corrupt.describe corrupt;
-      messages_completed = !completed_msgs;
-      h_injected = Dlc.Corrupt.hits corrupt;
-      h_skipped = Dlc.Corrupt.skipped corrupt;
-      h_converged = List.length conv;
-      h_time_to_convergence = max_or_zero conv;
-      h_tolerated = Oracle.Transfer.tolerated_count transfer;
-      casualties = Oracle.Transfer.casualties_lost transfer;
-      h_declared = Oracle.Transfer.failure_during_window transfer;
-      h_unconverged = Oracle.Transfer.unconverged transfer;
-      sessions = stats.Handover.Manager.sessions_created;
-      h_violations = Oracle.Transfer.violations transfer;
-    }
-  in
-  (match capture with Some c -> Trace.Capture.finish c | None -> ());
-  outcome
+  {
+    h_spec = Dlc.Corrupt.describe corrupt;
+    messages_completed = t.Soak.messages_completed;
+    h_injected = Dlc.Corrupt.hits corrupt;
+    h_skipped = Dlc.Corrupt.skipped corrupt;
+    h_converged = List.length conv;
+    h_time_to_convergence = Soak.max_or_zero conv;
+    h_tolerated = Oracle.Transfer.tolerated_count transfer;
+    casualties = Oracle.Transfer.casualties_lost transfer;
+    h_declared = Oracle.Transfer.failure_during_window transfer;
+    h_unconverged = Oracle.Transfer.unconverged transfer;
+    sessions =
+      (Handover.Manager.stats t.Soak.manager).Handover.Manager.sessions_created;
+    h_violations = Oracle.Transfer.violations transfer;
+  }
 
 let carryover_spec =
   Dlc.Corrupt.Rules
@@ -395,7 +193,7 @@ let handover_metrics o =
     ("tolerated", f o.h_tolerated);
     ("declared_failure", b o.h_declared);
     ("unconverged", b o.h_unconverged);
-    ("completed", b (o.messages_completed >= h_messages));
+    ("completed", b (o.messages_completed >= h_journey.Soak.n_messages));
     ("delivered", f o.messages_completed);
     ("oracle_violations", f (List.length o.h_violations));
   ]
@@ -445,22 +243,15 @@ let soak_spec ~seed =
       classes;
     }
 
-let soak_experiment ~schedules =
+let soak_suite =
   {
-    Runner.id = "e22-soak";
+    Soak.id = "e22-soak";
     name = "mid-handover corruption soak";
-    points =
-      List.init schedules (fun i ->
-          {
-            Runner.label = Printf.sprintf "schedule=%03d" i;
-            run =
-              (fun ~seed ->
-                handover_metrics (run_handover ~seed (soak_spec ~seed)));
-          });
+    label = Printf.sprintf "schedule=%03d";
+    run = (fun ~seed _ -> handover_metrics (run_handover ~seed (soak_spec ~seed)));
+    gate = (fun metric -> metric "oracle_violations" > 0.);
+    gate_message = "oracle violations";
   }
-
-let soak ?jobs ?root_seed ~schedules () =
-  Runner.run ?jobs ?root_seed ~replicates:1 [ soak_experiment ~schedules ]
 
 (* --- report -------------------------------------------------------------- *)
 
@@ -471,8 +262,8 @@ let run ?spec ?(quick = false) ppf =
     "one injection at t=%.0f ms into a %.0f km / %.0f Mbit/s stream of %d x \
      %d B frames;@ convergence budget k: lams %d, sr-hdlc %d, nbdt %d \
      checkpoint emissions@."
-    (inject_at *. 1e3) (distance_m /. 1000.) (data_rate_bps /. 1e6) n_frames
-    payload_bytes (convergence_k Lams) (convergence_k Sr_hdlc)
+    (inject_at *. 1e3) (Soak.distance_m /. 1000.) (Soak.data_rate_bps /. 1e6)
+    Soak.n_frames Soak.payload_bytes (convergence_k Lams) (convergence_k Sr_hdlc)
     (convergence_k Nbdt_bulk);
   let table =
     Stats.Table.create

@@ -16,7 +16,7 @@
 
 val name : string
 
-type variant = Lams | Sr_hdlc | Nbdt_bulk
+type variant = Soak.variant = Lams | Sr_hdlc | Nbdt_bulk
 
 val variant_tag : variant -> string
 
@@ -99,15 +99,10 @@ val soak_spec : seed:int -> Dlc.Corrupt.spec
 (** The soak's seed-derived adversary schedule (exposed so the fuzz
     tests can reuse the derivation). *)
 
-val soak :
-  ?jobs:int ->
-  ?root_seed:int ->
-  schedules:int ->
-  unit ->
-  Bench_report.Matrix_report.t
+val soak_suite : Soak.spec
 (** Seed-pinned mid-handover corruption soak: one matrix point per
-    schedule; deterministic for any [jobs] value. The
-    [oracle_violations] metric must be 0 on every point. *)
+    schedule, adversary derived by {!soak_spec}. Gate: the
+    [oracle_violations] metric is 0 on every point. *)
 
 val run : ?spec:Dlc.Corrupt.spec -> ?quick:bool -> Format.formatter -> unit
 (** Print the E22 report. [spec] (e.g. loaded from a [--corrupt-script]

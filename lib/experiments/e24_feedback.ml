@@ -1,25 +1,13 @@
 let name = "E24 Byzantine feedback: lie classes x variants x guard"
 
-(* Same short, fast link as E22: the quantities under study are safety
-   (does a lying reverse channel ever cause a wrongful release?) and the
-   degradation envelope (how long until the guard forces the sender back
-   onto the truth?), not bandwidth-delay stress. Channels are noiseless;
-   every fault is scripted, so each row is a single deterministic
-   trajectory. *)
-let distance_m = 150_000.
-
-let data_rate_bps = 100e6
-
-let payload_bytes = 512
-
-let n_frames = 400
-
-let horizon = 0.5
-
-let rtt = 2. *. distance_m /. Channel.Link.speed_of_light
-
-(* Forward-path losses create the NAK material the lies then tamper
-   with: three scripted I-frame drops (a two-frame burst and a single). *)
+(* Soak's short, fast link, as in E22: the quantities under study are
+   safety (does a lying reverse channel ever cause a wrongful release?)
+   and the degradation envelope (how long until the guard forces the
+   sender back onto the truth?), not bandwidth-delay stress. Channels
+   are noiseless; every fault is scripted, so each row is a single
+   deterministic trajectory. Forward-path losses create the NAK material
+   the lies then tamper with: three scripted I-frame drops (a two-frame
+   burst and a single). *)
 let forward_drops = [ 20; 21; 60 ]
 
 (* Reverse blackout window: total reverse silence for 10 ms — long
@@ -29,14 +17,11 @@ let blackout_from = 5e-3
 
 let blackout_until = 15e-3
 
-type variant = Lams | Sr_hdlc | Nbdt_bulk
+type variant = Soak.variant = Lams | Sr_hdlc | Nbdt_bulk
 
-let variant_tag = function
-  | Lams -> "lams"
-  | Sr_hdlc -> "sr-hdlc"
-  | Nbdt_bulk -> "nbdt"
+let variant_tag = Soak.variant_tag
 
-let variants = [ Lams; Sr_hdlc; Nbdt_bulk ]
+let variants = Soak.variants
 
 type lie = No_lie | Forge | Rewrite | Stale | Blackout
 
@@ -55,34 +40,11 @@ let lies = [ No_lie; Forge; Rewrite; Stale; Blackout ]
 let guard_config =
   { Dlc.Guard.default_config with Dlc.Guard.distrust_threshold = 1 }
 
-let lams_params ~guard_on =
-  {
-    Lams_dlc.Params.default with
-    Lams_dlc.Params.w_cp = 1e-3;
-    c_depth = 3;
-    guard = (if guard_on then Some guard_config else None);
-  }
-
-let hdlc_params ~guard_on =
-  {
-    Hdlc.Params.default with
-    Hdlc.Params.t_out = 1.5 *. rtt;
-    guard = (if guard_on then Some guard_config else None);
-  }
-
-let nbdt_params ~guard_on =
-  {
-    Nbdt.Params.default with
-    Nbdt.Params.report_interval = 1e-3;
-    resend_timeout = 5e-3;
-    guard = (if guard_on then Some guard_config else None);
-  }
-
-let lams_holding_bound params =
-  Lams_dlc.Params.resolving_period params ~rtt
-  +. params.Lams_dlc.Params.w_cp
-  +. (65536. /. data_rate_bps)
-  +. 1e-3
+let params ~guard_on =
+  let p =
+    Soak.stream_params ?guard:(if guard_on then Some guard_config else None) ()
+  in
+  { p with Soak.nbdt = { p.Soak.nbdt with Nbdt.Params.resend_timeout = 5e-3 } }
 
 let forward_spec =
   Channel.Fault.Rules
@@ -140,163 +102,78 @@ type outcome = {
           nan for non-blackout rows *)
 }
 
-let max_or_zero = List.fold_left max 0.
-
-let fingerprint ~seed ~variant ~lie ~guarded =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "|"
-          [
-            "e24";
-            string_of_int seed;
-            variant;
-            lie;
-            (if guarded then "guard" else "bare");
-          ]))
-
 (* Shared core: [forward] / [reverse] are the per-link fault specs,
    [mark_at] opens a disturbance episode at a scripted instant (blackout
    windows produce no per-frame hit until the next frame flies),
    [floor_window] bounds the goodput-floor measurement. *)
-let run_core ?recorder ?(frames = n_frames) ~guard_on ~seed ~lie_name ~forward
-    ~reverse ~mark_at ~floor_window variant =
+let run_core ?recorder ?frames ~guard_on ~seed ~lie_name ~forward ~reverse
+    ~mark_at ~floor_window variant =
   let tag = variant_tag variant in
-  let capture =
-    match (recorder, Trace.Config.get ()) with
-    | Some _, _ | None, None -> None
-    | None, Some _ ->
-        Trace.Capture.start ~proto:("e24-" ^ tag) ~seed
-          ~fingerprint:
-            (fingerprint ~seed ~variant:tag ~lie:lie_name ~guarded:guard_on)
-          ()
+  let r =
+    Soak.stream ?recorder ?frames ~prefix:"e24"
+      ~fingerprint:
+        (Soak.fingerprint
+           [
+             "e24";
+             string_of_int seed;
+             tag;
+             lie_name;
+             (if guard_on then "guard" else "bare");
+           ])
+      ~seed ~ber:0. ~cframe_ber:0. ~params:(params ~guard_on)
+      ~adversary:(fun { Soak.engine; duplex; probe; oracle; recorder; _ } ->
+        let feedback = Oracle.Feedback.create ~bucket:1e-3 oracle in
+        Oracle.Feedback.observe feedback probe;
+        let install ~link spec target ~observe =
+          let fault = Channel.Fault.compile spec in
+          Channel.Fault.install fault target;
+          observe fault;
+          Option.iter (fun r -> Trace.Recorder.attach_fault r ~link fault) recorder
+        in
+        install ~link:"forward" forward duplex.Channel.Duplex.forward
+          ~observe:ignore;
+        Option.iter
+          (fun spec ->
+            install ~link:"reverse" spec duplex.Channel.Duplex.reverse
+              ~observe:(fun fault ->
+                Channel.Fault.set_observer fault (fun ~now action _frame ->
+                    Oracle.Feedback.on_fault feedback ~now
+                      ~lie:(Channel.Fault.is_lie action))))
+          reverse;
+        Option.iter
+          (fun at ->
+            ignore
+              (Sim.Engine.schedule engine ~delay:at (fun () ->
+                   Oracle.Feedback.mark_disturbance feedback
+                     ~now:(Sim.Engine.now engine))
+                : Sim.Engine.event_id))
+          mark_at;
+        feedback)
+      variant
   in
-  let recorder =
-    match capture with
-    | Some c -> Some (Trace.Capture.recorder c)
-    | None -> recorder
-  in
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.create ~seed in
-  let duplex =
-    Channel.Duplex.create_static engine ~rng ~distance_m ~data_rate_bps
-      ~iframe_error:(Channel.Error_model.uniform ~ber:0. ())
-      ~cframe_error:(Channel.Error_model.uniform ~ber:0. ())
-  in
-  let session, probe, profile =
-    match variant with
-    | Lams ->
-        let params = lams_params ~guard_on in
-        let s = Lams_dlc.Session.create engine ~params ~duplex in
-        ( Lams_dlc.Session.as_dlc s,
-          Lams_dlc.Session.probe s,
-          Oracle.Lams
-            {
-              c_depth = params.Lams_dlc.Params.c_depth;
-              holding_bound = lams_holding_bound params;
-            } )
-    | Sr_hdlc ->
-        let params = hdlc_params ~guard_on in
-        let s = Hdlc.Session.create engine ~params ~duplex in
-        ( Hdlc.Session.as_dlc s,
-          Hdlc.Session.probe s,
-          Oracle.Hdlc
-            {
-              window = params.Hdlc.Params.window;
-              seq_bits = params.Hdlc.Params.seq_bits;
-            } )
-    | Nbdt_bulk ->
-        let params = nbdt_params ~guard_on in
-        let s = Nbdt.Session.create engine ~params ~duplex in
-        (Nbdt.Session.as_dlc s, Nbdt.Session.probe s, Oracle.Nbdt)
-  in
-  let oracle = Oracle.create ~name:("e24-" ^ tag) profile in
-  let feedback = Oracle.Feedback.create ~bucket:1e-3 oracle in
-  (* recorder first, oracle second, so a probe event and the violation it
-     triggers land in the flight ring in causal order *)
-  (match recorder with
-  | Some r -> Trace.Recorder.attach_probe r probe
-  | None -> ());
-  Oracle.attach oracle ~probe ~duplex;
-  Oracle.Feedback.observe feedback probe;
-  (match recorder with
-  | Some r -> Trace.Recorder.attach_oracle r oracle
-  | None -> ());
-  let forward_fault = Channel.Fault.compile forward in
-  Channel.Fault.install forward_fault duplex.Channel.Duplex.forward;
-  (match recorder with
-  | Some r ->
-      Trace.Recorder.attach_fault r ~link:"forward" forward_fault
-  | None -> ());
-  (match reverse with
-  | None -> ()
-  | Some spec ->
-      let fault = Channel.Fault.compile spec in
-      Channel.Fault.install fault duplex.Channel.Duplex.reverse;
-      Channel.Fault.set_observer fault (fun ~now action _frame ->
-          Oracle.Feedback.on_fault feedback ~now
-            ~lie:(Channel.Fault.is_lie action));
-      (match recorder with
-      | Some r -> Trace.Recorder.attach_fault r ~link:"reverse" fault
-      | None -> ()));
-  (match mark_at with
-  | None -> ()
-  | Some at ->
-      ignore
-        (Sim.Engine.schedule engine ~delay:at (fun () ->
-             Oracle.Feedback.mark_disturbance feedback
-               ~now:(Sim.Engine.now engine))
-          : Sim.Engine.event_id));
-  (* open-loop traffic at half the line rate, as in E22 *)
-  let line_fps =
-    data_rate_bps
-    /. float_of_int (8 * (payload_bytes + Frame.Wire.iframe_overhead_bytes))
-  in
-  let arrivals =
-    Workload.Arrivals.deterministic engine ~session ~rate:(0.5 *. line_fps)
-      ~count:frames
-      ~payload:(Workload.Arrivals.default_payload ~size:payload_bytes)
-  in
-  let metrics = session.Dlc.Session.metrics in
-  let finished () =
-    Workload.Arrivals.finished arrivals
-    && Dlc.Metrics.unique_delivered metrics >= frames
-  in
-  let rec watch () =
-    if finished () then session.Dlc.Session.stop ()
-    else if Sim.Engine.now engine < horizon then
-      ignore (Sim.Engine.schedule engine ~delay:1e-3 watch : Sim.Engine.event_id)
-  in
-  ignore (Sim.Engine.schedule engine ~delay:1e-3 watch : Sim.Engine.event_id);
-  Sim.Engine.run engine ~until:horizon;
-  session.Dlc.Session.stop ();
-  Sim.Engine.run engine ~until:(horizon +. 1.);
-  Oracle.finalize oracle;
+  let feedback = r.Soak.adversary in
   let resync_times = Oracle.Feedback.resync_times feedback in
-  let outcome =
-    {
-      variant = tag;
-      lie = lie_name;
-      guarded = guard_on;
-      faults = Oracle.Feedback.faults_seen feedback;
-      lies_told = Oracle.Feedback.lies_seen feedback;
-      quarantines = Oracle.Feedback.quarantines feedback;
-      resyncs = Oracle.Feedback.resyncs feedback;
-      failure_declared = Oracle.Feedback.failure_declared feedback;
-      resolved = List.length resync_times;
-      time_to_resync = max_or_zero resync_times;
-      unresolved = Oracle.Feedback.unresolved feedback;
-      wrongful = Oracle.Feedback.wrongful_releases feedback;
-      violations = List.length (Oracle.violations oracle);
-      delivered = Dlc.Metrics.unique_delivered metrics;
-      completed = Dlc.Metrics.unique_delivered metrics >= frames;
-      goodput_floor =
-        (match floor_window with
-        | Some (lo, hi) -> Oracle.Feedback.goodput_floor feedback ~lo ~hi
-        | None -> nan);
-    }
-  in
-  (match capture with Some c -> Trace.Capture.finish c | None -> ());
-  outcome
+  {
+    variant = tag;
+    lie = lie_name;
+    guarded = guard_on;
+    faults = Oracle.Feedback.faults_seen feedback;
+    lies_told = Oracle.Feedback.lies_seen feedback;
+    quarantines = Oracle.Feedback.quarantines feedback;
+    resyncs = Oracle.Feedback.resyncs feedback;
+    failure_declared = Oracle.Feedback.failure_declared feedback;
+    resolved = List.length resync_times;
+    time_to_resync = Soak.max_or_zero resync_times;
+    unresolved = Oracle.Feedback.unresolved feedback;
+    wrongful = Oracle.Feedback.wrongful_releases feedback;
+    violations = List.length (Oracle.violations r.Soak.oracle);
+    delivered = r.Soak.delivered;
+    completed = r.Soak.completed;
+    goodput_floor =
+      (match floor_window with
+      | Some (lo, hi) -> Oracle.Feedback.goodput_floor feedback ~lo ~hi
+      | None -> nan);
+  }
 
 let run_one ?recorder ?frames ~guard_on ~seed variant lie =
   run_core ?recorder ?frames ~guard_on ~seed ~lie_name:(lie_tag lie)
@@ -380,29 +257,28 @@ let soak_forward_spec ~seed =
 
 let soak_variant i = List.nth variants (i mod List.length variants)
 
-let run_soak ~seed variant =
-  outcome_metrics
-    (run_core ~guard_on:true ~seed ~lie_name:"soak"
-       ~forward:(soak_forward_spec ~seed)
-       ~reverse:(Some (soak_reverse_spec ~seed))
-       ~mark_at:None ~floor_window:None variant)
-
-let soak_experiment ~schedules =
+let soak_suite =
   {
-    Runner.id = "e24-soak";
+    Soak.id = "e24-soak";
     name = "lying-feedback soak";
-    points =
-      List.init schedules (fun i ->
-          let variant = soak_variant i in
-          {
-            Runner.label =
-              Printf.sprintf "schedule=%03d/%s" i (variant_tag variant);
-            run = (fun ~seed -> run_soak ~seed variant);
-          });
+    label =
+      (fun i -> Printf.sprintf "schedule=%03d/%s" i (variant_tag (soak_variant i)));
+    run =
+      (fun ~seed i ->
+        outcome_metrics
+          (run_core ~guard_on:true ~seed ~lie_name:"soak"
+             ~forward:(soak_forward_spec ~seed)
+             ~reverse:(Some (soak_reverse_spec ~seed))
+             ~mark_at:None ~floor_window:None (soak_variant i)));
+    gate =
+      (fun metric ->
+        metric "wrongful_releases" > 0.
+        || (metric "completed" = 0. && metric "failure_declared" = 0.));
+    gate_message = "feedback-safety violations";
   }
 
 let soak ?jobs ?root_seed ~schedules () =
-  Runner.run ?jobs ?root_seed ~replicates:1 [ soak_experiment ~schedules ]
+  Soak.run ?jobs ?root_seed soak_suite ~schedules
 
 (* --- report -------------------------------------------------------------- *)
 
@@ -413,7 +289,8 @@ let run ?(quick = false) ppf =
     "noiseless %.0f km / %.0f Mbit/s link, %d x %d B frames, scripted \
      forward drops %s;@ reverse-channel lies per row; blackout window \
      [%.0f, %.0f) ms; guard: distrust threshold %d, %d resync retries@."
-    (distance_m /. 1000.) (data_rate_bps /. 1e6) n_frames payload_bytes
+    (Soak.distance_m /. 1000.) (Soak.data_rate_bps /. 1e6) Soak.n_frames
+    Soak.payload_bytes
     (String.concat "," (List.map string_of_int forward_drops))
     (blackout_from *. 1e3) (blackout_until *. 1e3)
     guard_config.Dlc.Guard.distrust_threshold
@@ -446,7 +323,7 @@ let run ?(quick = false) ppf =
               let outcome =
                 if o.failure_declared then "failure declared"
                 else if not o.completed then
-                  Printf.sprintf "STALLED (%d lost)" (n_frames - o.delivered)
+                  Printf.sprintf "STALLED (%d lost)" (Soak.n_frames - o.delivered)
                 else if o.unresolved then
                   (* full delivery with no explicit resync closing the
                      episode: the variant's own timeout machinery rode

@@ -15,7 +15,7 @@
 
 val name : string
 
-type variant = Lams | Sr_hdlc | Nbdt_bulk
+type variant = Soak.variant = Lams | Sr_hdlc | Nbdt_bulk
 
 val variant_tag : variant -> string
 
@@ -88,15 +88,18 @@ val soak_reverse_spec : seed:int -> Channel.Fault.spec
 (** The soak's seed-derived lying-adversary schedule (exposed so the
     fuzz tests can reuse the derivation). *)
 
+val soak_suite : Soak.spec
+(** Seed-pinned lying-feedback soak, guard always on, variant rotated
+    per schedule, adversary derived by {!soak_reverse_spec}. Gate: the
+    [wrongful_releases] metric is 0 on every point, and every point ends
+    completed or with an explicit failure declaration. *)
+
 val soak :
   ?jobs:int ->
   ?root_seed:int ->
   schedules:int ->
   unit ->
   Bench_report.Matrix_report.t
-(** Seed-pinned lying-feedback soak, guard always on, variant rotated
-    per schedule; deterministic for any [jobs] value. The
-    [wrongful_releases] metric must be 0 on every point, and every
-    point must end resolved or with an explicit failure declaration. *)
+(** [Soak.run soak_suite]. *)
 
 val run : ?quick:bool -> Format.formatter -> unit

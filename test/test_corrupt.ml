@@ -3,7 +3,7 @@
    (each corruption class must reconverge — or declare failure — under
    the protocol-matched oracle), the k = 0 tripwire, fault-observer
    composition, the golden corruption trace, and soak determinism across
-   worker counts. *)
+   worker counts (the shared check of test_soak). *)
 
 module E22 = Experiments.E22_corruption
 module C = Dlc.Corrupt
@@ -257,30 +257,6 @@ let test_golden_trace () =
     (read_file (golden_path ^ ".metrics.json"))
     metrics
 
-(* --- soak determinism across worker counts ------------------------------ *)
-
-let test_soak_jobs_determinism () =
-  let json report =
-    Bench_report.Json.to_string ~indent:2
-      (Bench_report.Matrix_report.to_json ~with_meta:false report)
-  in
-  let seq = E22.soak ~jobs:1 ~root_seed:7 ~schedules:3 () in
-  let par = E22.soak ~jobs:2 ~root_seed:7 ~schedules:3 () in
-  Alcotest.(check string)
-    "parallel soak is byte-identical to sequential" (json seq) (json par);
-  List.iter
-    (fun (e : Bench_report.Matrix_report.experiment) ->
-      List.iter
-        (fun (p : Bench_report.Matrix_report.point) ->
-          match List.assoc_opt "oracle_violations" p.metrics with
-          | Some s ->
-              Alcotest.(check (float 0.))
-                (p.label ^ ": no oracle violations")
-                0. s.Bench_report.Matrix_report.max
-          | None -> Alcotest.failf "%s: oracle_violations missing" p.label)
-        e.Bench_report.Matrix_report.points)
-    seq.Bench_report.Matrix_report.experiments
-
 let suite =
   [
     Alcotest.test_case "script: parse and describe" `Quick test_script_parse;
@@ -310,6 +286,7 @@ let suite =
     Alcotest.test_case "handover: stale carryover converges" `Quick
       test_handover_carryover;
     Alcotest.test_case "golden corruption trace" `Quick test_golden_trace;
-    Alcotest.test_case "soak: jobs-count determinism" `Quick
-      test_soak_jobs_determinism;
+    Alcotest.test_case "soak: jobs-count determinism" `Quick (fun () ->
+        Test_soak.check_jobs_determinism E22.soak_suite
+          ~metric:"oracle_violations");
   ]

@@ -58,11 +58,46 @@ let prop_converge_or_declare =
 
 (* The soak's own adversary derivation must be stable: the CI soak's
    byte-equality across --jobs depends on every schedule being a pure
-   function of the root seed. *)
+   function of the root seed. A soak's id and labels feed its task
+   seeds, so a relabel would silently re-seed every schedule: the first
+   three labels and seeds (root 7) of each soak are pinned. *)
 let test_soak_spec_derivation () =
   let d seed = C.describe (C.compile (E22.soak_spec ~seed)) in
   Alcotest.(check string) "same seed, same schedule" (d 7) (d 7);
-  Alcotest.(check bool) "different seeds diverge" true (d 7 <> d 8)
+  Alcotest.(check bool) "different seeds diverge" true (d 7 <> d 8);
+  List.iter
+    (fun ((spec : Experiments.Soak.spec), id, pins) ->
+      Alcotest.(check string) "soak id" id spec.id;
+      List.iteri
+        (fun i (label, seed) ->
+          Alcotest.(check string) (id ^ " label") label (spec.label i);
+          Alcotest.(check int) (label ^ " seed") seed
+            (Runner.seed_of_task ~root_seed:7 ~experiment_id:spec.id
+               ~point_label:(spec.label i) ~replicate:0))
+        pins)
+    [
+      ( Experiments.E21_handover.soak_suite,
+        "e21-soak",
+        [
+          ("schedule=000", 2383947407457192587);
+          ("schedule=001", 1526990444343150831);
+          ("schedule=002", 1421629469533094159);
+        ] );
+      ( E22.soak_suite,
+        "e22-soak",
+        [
+          ("schedule=000", 4245249354774273300);
+          ("schedule=001", 1817816213525524170);
+          ("schedule=002", 3709256374446398410);
+        ] );
+      ( Experiments.E24_feedback.soak_suite,
+        "e24-soak",
+        [
+          ("schedule=000/lams", 2880114535781902819);
+          ("schedule=001/sr-hdlc", 1414066148943490481);
+          ("schedule=002/nbdt", 58269373971650044);
+        ] );
+    ]
 
 let suite =
   [

@@ -3,7 +3,8 @@
    quarantined, for any variant, seed or channel noise), per-lie-class
    detection and recovery, the capped fault-log ring, adversary
    RNG-stream compatibility, the golden lying-feedback trace, and E24
-   soak determinism across worker counts. *)
+   soak determinism across worker counts (the shared check of
+   test_soak). *)
 
 module E24 = Experiments.E24_feedback
 module F = Channel.Fault
@@ -292,30 +293,6 @@ let test_golden_trace () =
     (read_file (golden_path ^ ".metrics.json"))
     metrics
 
-(* --- soak determinism across worker counts ------------------------------ *)
-
-let test_soak_jobs_determinism () =
-  let json report =
-    Bench_report.Json.to_string ~indent:2
-      (Bench_report.Matrix_report.to_json ~with_meta:false report)
-  in
-  let seq = E24.soak ~jobs:1 ~root_seed:7 ~schedules:3 () in
-  let par = E24.soak ~jobs:2 ~root_seed:7 ~schedules:3 () in
-  Alcotest.(check string)
-    "parallel soak is byte-identical to sequential" (json seq) (json par);
-  List.iter
-    (fun (e : Bench_report.Matrix_report.experiment) ->
-      List.iter
-        (fun (p : Bench_report.Matrix_report.point) ->
-          match List.assoc_opt "wrongful_releases" p.metrics with
-          | Some s ->
-              Alcotest.(check (float 0.))
-                (p.label ^ ": no wrongful releases")
-                0. s.Bench_report.Matrix_report.max
-          | None -> Alcotest.failf "%s: wrongful_releases missing" p.label)
-        e.Bench_report.Matrix_report.points)
-    seq.Bench_report.Matrix_report.experiments
-
 let suite =
   [
     Alcotest.test_case "lie script: parse and describe" `Quick
@@ -338,6 +315,7 @@ let suite =
     Alcotest.test_case "adversary RNG-stream compatibility" `Quick
       test_adversary_stream_compat;
     Alcotest.test_case "golden lying-feedback trace" `Quick test_golden_trace;
-    Alcotest.test_case "soak: jobs-count determinism" `Quick
-      test_soak_jobs_determinism;
+    Alcotest.test_case "soak: jobs-count determinism" `Quick (fun () ->
+        Test_soak.check_jobs_determinism E24.soak_suite
+          ~metric:"wrongful_releases");
   ]

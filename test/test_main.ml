@@ -37,5 +37,6 @@ let () =
       ("corrupt", Test_corrupt.suite);
       ("corrupt-soak", Test_corrupt_soak.suite);
       ("feedback", Test_feedback.suite);
+      ("soak", Test_soak.suite);
       ("data-path", Test_data_path.suite);
     ]
